@@ -187,18 +187,24 @@ func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectsIncompatibleModes: the live decomposition runs on the
-// single-band synchronous path only.
+// TestAdaptiveRejectsIncompatibleModes: Adapt is rejected, with an error
+// naming the pair, alongside BandsPerProc > 1 and plain Async (which would
+// otherwise run silently static); with TwoStage it composes and solves.
 func TestAdaptiveRejectsIncompatibleModes(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 120, Seed: 3})
-	b := make([]float64, 120)
+	b, xtrue := gen.RHSForSolution(a)
 	pl, hosts := lanPlatform(2, 0)
 	_, err := Solve(pl, hosts, a, b, Options{Adapt: true, BandsPerProc: 2})
-	if err == nil || !strings.Contains(err.Error(), "Adapt") {
+	if err == nil || !strings.Contains(err.Error(), "Adapt is incompatible with BandsPerProc > 1") {
 		t.Fatalf("multiband: err = %v", err)
 	}
-	_, err = Solve(pl, hosts, a, b, Options{Adapt: true, TwoStage: TwoStage{InnerIters: 3}})
-	if err == nil || !strings.Contains(err.Error(), "Adapt") {
-		t.Fatalf("twostage: err = %v", err)
+	_, err = Solve(pl, hosts, a, b, Options{Adapt: true, Async: true})
+	if err == nil || !strings.Contains(err.Error(), "Adapt is incompatible with plain Async") {
+		t.Fatalf("async: err = %v", err)
 	}
+	res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-10, Adapt: true, TwoStage: TwoStage{InnerIters: 3}})
+	if err != nil {
+		t.Fatalf("twostage: %v", err)
+	}
+	checkSolution(t, res, xtrue, 1e-7)
 }

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/mp"
 	"repro/internal/simctx"
 	"repro/internal/sparse"
 	"repro/internal/splu"
-	"repro/internal/vec"
 	"repro/internal/vgrid"
 )
 
@@ -17,9 +17,22 @@ import (
 const (
 	tagX      = 1 // boundary solution exchange
 	tagAbort  = 2 // a rank hit the iteration cap
-	tagGather = 3 // final solution assembly
+	tagGather = 3 // final solution assembly (first owned band)
 	tagAdapt  = 4 // resplit iterate redistribution (rank 0 → new bands)
+
+	// tagGatherSlots + s carries a rank's s-th owned band (s ≥ 1) in the
+	// final gather, so rank 0 matches every band exactly whatever order the
+	// segments arrive in.
+	tagGatherSlots = 1 << 17
 )
+
+// gatherTag is the final-gather tag of a rank's slot-th owned band.
+func gatherTag(slot int) int {
+	if slot == 0 {
+		return tagGather
+	}
+	return tagGatherSlots + slot
+}
 
 // Options configures a distributed multisplitting solve.
 type Options struct {
@@ -82,8 +95,7 @@ type Options struct {
 	TreeCollectives bool
 	// BandsPerProc assigns this many non-adjacent bands to every processor
 	// (the paper's Remark 2), cyclically: rank r owns bands r, r+P, r+2P….
-	// Values above 1 are incompatible with Balance, MaxStale and
-	// UseResidual. Default 1.
+	// Default 1.
 	BandsPerProc int
 	// Trace, when non-nil, receives iteration-level diagnostics from the
 	// asynchronous driver (one line per iteration per rank). It replaces
@@ -125,8 +137,7 @@ type Options struct {
 	// locally. Per-origin version/echo headers ride along, so every exchange
 	// policy keeps its exact semantics (synchronous iterates are
 	// byte-identical to the direct plan). Requires cluster declarations; on
-	// a flat platform the option is a no-op. Incompatible with
-	// BandsPerProc > 1.
+	// a flat platform the option is a no-op.
 	Gateway bool
 	// Adapt turns the decomposition into a live object: a deterministic
 	// feedback controller (internal/adapt) observes every rank's committed
@@ -141,7 +152,9 @@ type Options struct {
 	// receive group's staleness bound per link class (intra- vs
 	// inter-cluster). Decisions use committed virtual-time data only, so
 	// adaptive runs stay byte-identical for any worker or lane count.
-	// Incompatible with BandsPerProc > 1 and TwoStage.
+	// Incompatible with BandsPerProc > 1 (the controller observes per rank
+	// but would have to propose per band) and with plain Async (MaxStale = 0
+	// leaves neither a lockstep to resplit in nor a bound to tune).
 	Adapt bool
 	// AdaptInterval is the number of iterations between controller epochs
 	// (default 20).
@@ -155,8 +168,7 @@ type Options struct {
 	// preconditioned by a narrow band LU instead of the exact band
 	// factorization, which keeps factorization memory O(n·width) and opens
 	// problem sizes where the exact method runs out of memory. Composes
-	// with every exchange policy, fault tolerance, gateway aggregation and
-	// sharded lanes; incompatible with BandsPerProc > 1. See twostage.go
+	// with every exchange policy and every other option. See twostage.go
 	// and DESIGN.md §14.
 	TwoStage TwoStage
 }
@@ -193,10 +205,58 @@ func (o *Options) withDefaults() Options {
 	if out.AdaptHysteresis == 0 {
 		out.AdaptHysteresis = 0.10
 	}
+	if out.BandsPerProc < 1 {
+		out.BandsPerProc = 1
+	}
 	if out.TwoStage.enabled() {
 		out.TwoStage = out.TwoStage.withDefaults()
 	}
 	return out
+}
+
+// validate rejects the option combinations the solver cannot honor (call it
+// after withDefaults). It is the one place option checks live: Launch and
+// the persistent Session both call it. nHosts is the rank count, or 0 while
+// unknown (a Session learns it at the first Resolve); session adds the
+// restrictions of the persistent solver state.
+func (o *Options) validate(nHosts int, session bool) error {
+	if err := o.TwoStage.validate(); err != nil {
+		return err
+	}
+	if nHosts > 0 && o.SolverPerRank != nil && len(o.SolverPerRank) != nHosts {
+		return fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), nHosts)
+	}
+	if o.Adapt && o.BandsPerProc > 1 {
+		return errors.New("core: Adapt is incompatible with BandsPerProc > 1: the controller observes per rank but would propose per band")
+	}
+	if o.Adapt && o.Async && o.MaxStale == 0 {
+		return errors.New("core: Adapt is incompatible with plain Async: set MaxStale > 0 to let it tune the staleness bounds")
+	}
+	if !session {
+		return nil
+	}
+	switch {
+	case o.BandsPerProc > 1:
+		return errors.New("core: sessions do not support BandsPerProc > 1")
+	case o.Balance:
+		return errors.New("core: sessions do not support Balance")
+	case o.Equilibrate:
+		return errors.New("core: sessions do not support Equilibrate")
+	case o.Gateway:
+		// The gateway routing tables live outside the per-rank state a
+		// session persists; sessions run the direct plan.
+		return errors.New("core: sessions do not support Gateway")
+	}
+	return nil
+}
+
+// solverFor returns the direct method that factors rank's bands:
+// SolverPerRank's entry when set, Solver otherwise.
+func (o *Options) solverFor(rank int) splu.Direct {
+	if o.SolverPerRank != nil && o.SolverPerRank[rank] != nil {
+		return o.SolverPerRank[rank]
+	}
+	return o.Solver
 }
 
 // Result reports a distributed multisplitting solve.
@@ -230,12 +290,11 @@ type Result struct {
 	IntraMsgs int64
 	// InterMsgs is the inter-cluster share of MsgsSent.
 	InterMsgs int64
-	// TotalFlops is the summed arithmetic work over all ranks, merged from
-	// the per-rank counters through an atomic aggregation point (safe under
-	// the parallel scheduler).
+	// TotalFlops is the summed arithmetic work over all ranks, folded from
+	// the per-rank counters in rank order.
 	TotalFlops float64
-	// FactorFlops is the factorization arithmetic summed over the
-	// single-band engine's ranks: the band preconditioner factors in
+	// FactorFlops is the factorization arithmetic summed over the ranks:
+	// the band preconditioner factors in
 	// two-stage mode (plus any fallback factorization), the exact band LU
 	// otherwise. The inner-sweep/factor split is the two-stage economy the
 	// benchmarks record.
@@ -281,23 +340,77 @@ type ResplitEvent struct {
 // Pending is a solve registered on an engine; read the Result after the
 // engine has run.
 type Pending struct {
+	// res holds what rank 0 alone writes (the assembled X and the resplit
+	// record) plus the engine end time a driver may set; Result folds the
+	// per-rank records into it.
 	res   Result
+	ranks []rankRecord
 	procs []*vgrid.Proc
 	done  bool
-	// total aggregates per-rank flop counts. Counters are single-owner
-	// (see vec.Counter); this is the one cross-process meeting point, so it
-	// must be the atomic vec.Total even though rank bodies are serialized
-	// today — compute segments may finish on worker threads.
-	total vec.Total
 }
 
-// Result returns the solve outcome; it panics if the engine has not run.
+// rankRecord is one rank's contribution to the Result, written only by that
+// rank's process. Ranks on different scheduler lanes finish concurrently, so
+// they never touch shared fields: Result folds the records in rank order,
+// which also makes every float sum independent of the finish order.
+type rankRecord struct {
+	finished  bool
+	iter      int
+	factTime  float64
+	end       float64
+	converged bool
+
+	bytesSent, msgsSent   int64
+	intraBytes, intraMsgs int64
+	interBytes, interMsgs int64
+
+	flops        float64
+	factFlops    float64
+	innerSweeps  int64
+	innerFlops   float64
+	fallbacks    int
+	resplitFlops float64
+}
+
+// newPending allocates the per-rank records for an nranks solve.
+func newPending(nranks int) *Pending {
+	p := &Pending{ranks: make([]rankRecord, nranks)}
+	p.res.IterationsPerRank = make([]int, nranks)
+	return p
+}
+
+// Result returns the solve outcome; it panics if the engine has not run
+// (neither Finish was called nor any rank finished).
 func (p *Pending) Result() *Result {
-	if !p.done {
+	if !p.done && !slices.ContainsFunc(p.ranks, func(r rankRecord) bool { return r.finished }) {
 		panic("core: Result read before the engine ran")
 	}
-	p.res.TotalFlops = p.total.Value()
-	return &p.res
+	r := &p.res
+	r.Iterations, r.FactorTime = 0, 0
+	r.BytesSent, r.MsgsSent = 0, 0
+	r.IntraBytes, r.IntraMsgs, r.InterBytes, r.InterMsgs = 0, 0, 0, 0
+	r.TotalFlops, r.FactorFlops, r.InnerFlops, r.ResplitFlops = 0, 0, 0, 0
+	r.InnerSweeps, r.TwoStageFallbacks = 0, 0
+	for rank, rec := range p.ranks {
+		r.IterationsPerRank[rank] = rec.iter
+		r.Iterations = max(r.Iterations, rec.iter)
+		r.FactorTime = max(r.FactorTime, rec.factTime)
+		r.Time = max(r.Time, rec.end)
+		r.BytesSent += rec.bytesSent
+		r.MsgsSent += rec.msgsSent
+		r.IntraBytes += rec.intraBytes
+		r.IntraMsgs += rec.intraMsgs
+		r.InterBytes += rec.interBytes
+		r.InterMsgs += rec.interMsgs
+		r.TotalFlops += rec.flops
+		r.FactorFlops += rec.factFlops
+		r.InnerSweeps += rec.innerSweeps
+		r.InnerFlops += rec.innerFlops
+		r.TwoStageFallbacks += rec.fallbacks
+		r.ResplitFlops += rec.resplitFlops
+	}
+	r.Converged = p.ranks[0].converged
+	return r
 }
 
 // Running reports whether any solver rank is still executing; background
@@ -312,43 +425,27 @@ func (p *Pending) Running() bool {
 }
 
 // Finish marks the result readable. Call it after the engine has run; it is
-// needed when ranks failed (e.g. out of memory) before filling the result.
+// needed when every rank failed (e.g. out of memory) before finishing.
 func (p *Pending) Finish() { p.done = true }
 
-// finishRank records one rank's run statistics. Plain writes are safe: rank
-// bodies execute serially under the engine even when compute segments run on
-// worker threads; only the flop total crosses goroutines and goes through
-// the atomic Total.
-func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, iter int, factTime float64, converged bool) {
-	rank := c.Rank()
-	p.res.IterationsPerRank[rank] = iter
-	if iter > p.res.Iterations {
-		p.res.Iterations = iter
-	}
-	if factTime > p.res.FactorTime {
-		p.res.FactorTime = factTime
-	}
-	if rank == 0 {
-		p.res.Converged = converged
-	}
-	p.res.BytesSent += c.Proc().BytesSent
-	p.res.MsgsSent += c.Proc().MsgsSent
-	p.res.IntraBytes += c.Proc().IntraBytes
-	p.res.InterBytes += c.Proc().InterBytes
-	p.res.IntraMsgs += c.Proc().IntraMsgs
-	p.res.InterMsgs += c.Proc().InterMsgs
-	if end := c.Now(); end > p.res.Time {
-		p.res.Time = end
-	}
-	p.total.MergeCounter(ctx.Counter)
-	p.done = true
+// finishRank completes a rank's record with its process statistics: the
+// traffic counters, the finish time and the flop count.
+func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, rec rankRecord) {
+	pr := c.Proc()
+	rec.bytesSent, rec.msgsSent = pr.BytesSent, pr.MsgsSent
+	rec.intraBytes, rec.intraMsgs = pr.IntraBytes, pr.IntraMsgs
+	rec.interBytes, rec.interMsgs = pr.InterBytes, pr.InterMsgs
+	rec.end = c.Now()
+	rec.flops = ctx.Counter.Flops()
+	rec.finished = true
+	p.ranks[c.Rank()] = rec
 }
 
 // Launch registers the multisplitting solver on the engine, one rank per
-// host (one band per processor, the simple variant of Section 2; see paper
-// Remark 2). The matrix and right-hand side are globally readable at load
-// time, as the paper's Initialization step allows. Call engine.Run, then
-// read Pending.Result.
+// host owning BandsPerProc bands (one band per processor is the simple
+// variant of Section 2; see paper Remark 2). The matrix and right-hand side
+// are globally readable at load time, as the paper's Initialization step
+// allows. Call engine.Run, then read Pending.Result.
 func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
 	o := opt.withDefaults()
 	n := a.Rows
@@ -358,8 +455,8 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	if len(hosts) == 0 {
 		return nil, errors.New("core: no hosts")
 	}
-	if o.SolverPerRank != nil && len(o.SolverPerRank) != len(hosts) {
-		return nil, fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(o.SolverPerRank), len(hosts))
+	if err := o.validate(len(hosts), false); err != nil {
+		return nil, err
 	}
 	var err error
 	if o.Equilibrate {
@@ -368,43 +465,26 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 			return nil, err
 		}
 	}
-	multiband := o.BandsPerProc > 1
-	if multiband && (o.Balance || o.MaxStale > 0 || o.UseResidual) {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with Balance, MaxStale and UseResidual")
-	}
-	if multiband && o.Gateway {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with Gateway")
-	}
-	if err := o.TwoStage.validate(); err != nil {
-		return nil, err
-	}
-	if multiband && o.TwoStage.enabled() {
-		return nil, errors.New("core: BandsPerProc > 1 is incompatible with TwoStage")
-	}
-	if o.Adapt && multiband {
-		return nil, errors.New("core: Adapt is incompatible with BandsPerProc > 1")
-	}
-	if o.Adapt && o.TwoStage.enabled() {
-		return nil, errors.New("core: Adapt is incompatible with TwoStage")
-	}
 	if o.Gateway || o.TopoCollectives {
 		if err := e.Platform.ValidateTopology(); err != nil {
 			return nil, fmt.Errorf("core: topology-aware mode: %w", err)
 		}
 	}
 	var d *Decomposition
-	switch {
-	case multiband:
-		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
-	case o.Balance:
+	if o.Balance {
+		// Band k runs on host k mod P, so that host's speed weights it.
+		bandHosts := make([]*vgrid.Host, len(hosts)*o.BandsPerProc)
+		for k := range bandHosts {
+			bandHosts[k] = hosts[k%len(hosts)]
+		}
 		var starts []int
-		starts, err = BalancedStarts(n, hosts)
+		starts, err = BalancedStarts(n, bandHosts)
 		if err != nil {
 			return nil, err
 		}
 		d, err = NewDecompositionFromStarts(n, starts, o.Overlap, o.Scheme)
-	default:
-		d, err = NewDecomposition(n, len(hosts), o.Overlap, o.Scheme)
+	} else {
+		d, err = NewDecomposition(n, len(hosts)*o.BandsPerProc, o.Overlap, o.Scheme)
 	}
 	if err != nil {
 		return nil, err
@@ -418,16 +498,10 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	if err != nil {
 		return nil, err
 	}
-	pend := &Pending{}
-	pend.res.IterationsPerRank = make([]int, len(hosts))
+	pend := newPending(len(hosts))
 	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
-		if multiband {
-			return msRankMulti(c, a, b, d, cp, o, pend)
-		}
 		return msRank(c, a, b, d, cp, o, pend)
 	})
-	// Mark the pending result complete when the engine finishes: the last
-	// rank to return fills the aggregate fields.
 	return pend, nil
 }
 

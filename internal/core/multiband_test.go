@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/splu"
 	"repro/internal/vec"
+	"repro/internal/vgrid"
 )
 
 func TestMultibandSyncMatchesSequential(t *testing.T) {
@@ -83,17 +85,32 @@ func TestMultibandAverageWeights(t *testing.T) {
 	checkSolution(t, res, xtrue, 1e-6)
 }
 
+// TestMultibandIncompatibleOptions: BandsPerProc > 1 is rejected, with an
+// error naming the pair, only where it still does not compose — with Adapt
+// (the controller observes per rank but would propose per band) and in
+// persistent sessions. Balance, bounded staleness and the residual criterion
+// pass validation; TestModeMatrix runs them to convergence.
 func TestMultibandIncompatibleOptions(t *testing.T) {
 	a := gen.Tridiag(40, -1, 4, -1)
 	b := make([]float64, 40)
 	pl, hosts := lanPlatform(2, 0)
+	_, err := Solve(pl, hosts, a, b, Options{BandsPerProc: 2, Adapt: true})
+	if err == nil || !strings.Contains(err.Error(), "Adapt is incompatible with BandsPerProc > 1") {
+		t.Fatalf("adapt: err = %v", err)
+	}
+	_, err = NewSession(func() (*vgrid.Platform, []*vgrid.Host) { return lanPlatform(2, 0) },
+		a, Options{BandsPerProc: 2})
+	if err == nil || !strings.Contains(err.Error(), "sessions do not support BandsPerProc > 1") {
+		t.Fatalf("session: err = %v", err)
+	}
 	for _, opt := range []Options{
 		{BandsPerProc: 2, Balance: true},
 		{BandsPerProc: 2, MaxStale: 3, Async: true},
 		{BandsPerProc: 2, UseResidual: true},
 	} {
-		if _, err := Solve(pl, hosts, a, b, opt); err == nil {
-			t.Fatalf("incompatible options accepted: %+v", opt)
+		opt = opt.withDefaults()
+		if err := opt.validate(len(hosts), false); err != nil {
+			t.Fatalf("%+v rejected: %v", opt, err)
 		}
 	}
 }

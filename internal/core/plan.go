@@ -8,8 +8,8 @@ import (
 
 // buildCommPlan builds the shared communication plan for the decomposition
 // mapped cyclically onto nranks processes (rank r owns bands r, r+P, r+2P…;
-// with one band per rank the map is the identity). Both the single-band
-// engine and the multiband driver consume the same plan, so the segment
+// with one band per rank the map is the identity). The engine loop and the
+// gateway consume the same plan whatever the bands per rank, so the segment
 // construction lives in exactly one place (internal/plan).
 func buildCommPlan(a *sparse.CSR, d *Decomposition, nranks int) (*plan.Plan, error) {
 	bands := make([]plan.Band, d.L())

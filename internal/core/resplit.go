@@ -59,7 +59,8 @@ type adaptRank struct {
 // newAdaptRank arms the adaptive epochs for the synchronous engine loop, or
 // returns nil when the options leave the decomposition static. Asynchronous
 // modes never resplit (a global transition needs lockstep); their adaptive
-// lever is the per-group staleness tuning in boundedStalePolicy.
+// lever is the per-group staleness tuning in boundedStalePolicy, which is why
+// Options.validate rejects Adapt under plain async (MaxStale = 0).
 func newAdaptRank(st *rankState) *adaptRank {
 	o := st.o
 	if !o.Adapt || o.Async {
@@ -206,9 +207,7 @@ func (ad *adaptRank) decide(st *rankState, pend *Pending, gathered [][]float64) 
 // lives at rank 0. Returns this rank's window and its base index.
 func (ad *adaptRank) redistribute(st *rankState, starts []int, overlap int) ([]float64, int, error) {
 	c, d := st.c, st.d
-	band := st.band
-	owned := st.xSub[band.Start-band.Lo : band.End-band.Lo]
-	gathered, err := c.Gather(0, owned)
+	gathered, err := c.Gather(0, st.bands[0].owned())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -291,14 +290,12 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 		return 0, planErr
 	}
 
-	// Release the old band's working set before the rebuild allocates the new
-	// one, so the memory accounting tracks the live footprint, not the union.
+	// Release the old band's working set — matrices and whatever inner
+	// solver it holds, LU or band preconditioner — before the rebuild
+	// allocates the new one, so the memory accounting tracks the live
+	// footprint, not the union.
 	if o.TrackMemory {
-		freed := csrBytes(st.sub) + csrBytes(st.depMat) + 8*int64(st.band.Size())
-		if st.fact != nil {
-			freed += st.fact.Bytes()
-		}
-		c.Proc().Free(freed)
+		c.Proc().Free(st.bands[0].footprint())
 	}
 
 	st2, _, err := newRankState(c, ctx, st.aGlob, st.bGlob, d2, cp2, o)
@@ -316,12 +313,14 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	st2.diff = st.diff
 	st2.stableStart = st.iter
 	st2.factFlops += st.factFlops
+	st2.innerSweeps, st2.innerFlops, st2.fallbacks = st.innerSweeps, st.innerFlops, st.fallbacks
 	st2.gen = st.gen + 1
-	nb := st2.band
-	copy(st2.xSub, x[nb.Lo-off:nb.Hi-off])
-	copy(st2.xPrev, st2.xSub)
-	for i, j := range st2.depCols {
-		st2.z[i] = x[j-off]
+	b2 := st2.bands[0]
+	nb := b2.band
+	copy(b2.xSub, x[nb.Lo-off:nb.Hi-off])
+	copy(b2.xPrev, b2.xSub)
+	for i, j := range b2.depCols {
+		b2.z[i] = x[j-off]
 	}
 	iterF := float64(st.iter)
 	for gi := range st2.rp.Recv {
@@ -330,7 +329,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 		at := 0
 		for _, seg := range g.Segs {
 			for i, pos := range seg.Pos {
-				last[at+i] = x[st2.depCols[pos]-off]
+				last[at+i] = x[b2.depCols[pos]-off]
 			}
 			at += len(seg.Pos)
 		}
@@ -341,7 +340,7 @@ func (st *rankState) resplit(starts []int, overlap int, x []float64, off int) (f
 	// Replace in place: the engine loop, the persistent Session and the
 	// pending result all hold this pointer. stepFn must be rebound — the
 	// method value newRankState built is bound to st2, and a segment body
-	// writing its diff to the abandoned copy would freeze the stopper.
+	// reporting divergence to the abandoned copy would go unnoticed.
 	*st = *st2
 	st.stepFn = st.step
 	return planFlops + refactorFlops, nil

@@ -386,19 +386,8 @@ func NewSession(newPlatform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.C
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: session needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
-	if o.BandsPerProc > 1 {
-		return nil, errors.New("core: sessions do not support BandsPerProc > 1")
-	}
-	if o.Balance {
-		return nil, errors.New("core: sessions do not support Balance")
-	}
-	if o.Equilibrate {
-		return nil, errors.New("core: sessions do not support Equilibrate")
-	}
-	if o.Gateway {
-		// The gateway routing tables live outside the per-rank state a session
-		// persists; sessions run the direct plan.
-		return nil, errors.New("core: sessions do not support Gateway")
+	if err := o.validate(0, true); err != nil {
+		return nil, err
 	}
 	if newPlatform == nil {
 		return nil, errors.New("core: session needs a platform factory")
@@ -424,8 +413,8 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 		if len(hosts) == 0 {
 			return nil, errors.New("core: no hosts")
 		}
-		if s.o.SolverPerRank != nil && len(s.o.SolverPerRank) != len(hosts) {
-			return nil, fmt.Errorf("core: SolverPerRank has %d entries for %d hosts", len(s.o.SolverPerRank), len(hosts))
+		if err := s.o.validate(len(hosts), true); err != nil {
+			return nil, err
 		}
 		d, err := NewDecomposition(s.a.Rows, len(hosts), s.o.Overlap, s.o.Scheme)
 		if err != nil {
@@ -455,8 +444,7 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 	if s.Obs != nil {
 		e.Observe(s.Obs)
 	}
-	pend := &Pending{}
-	pend.res.IterationsPerRank = make([]int, len(hosts))
+	pend := newPending(len(hosts))
 	refresh := newVals != nil
 	mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
 		return s.rankBody(c, b, refresh, pend)
@@ -499,11 +487,11 @@ func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pend
 		if err != nil {
 			return err
 		}
-		band := st.band
+		b := st.bands[0]
 		sr = &sessionRank{
 			st:     st,
-			subMap: s.a.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi),
-			depMap: s.a.SelectColumnsMap(band.Lo, band.Hi, st.depCols),
+			subMap: s.a.SubmatrixMap(b.band.Lo, b.band.Hi, b.band.Lo, b.band.Hi),
+			depMap: s.a.SelectColumnsMap(b.band.Lo, b.band.Hi, b.depCols),
 		}
 		s.ranks[rank] = sr
 		factTime = ft
@@ -519,11 +507,13 @@ func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pend
 }
 
 // refreshRank rebinds a persistent rank to a fresh engine run, refreshes its
-// numeric values through the frozen maps and refactorizes.
+// numeric values through the frozen maps and refactorizes. Sessions run one
+// band per rank (validate rejects BandsPerProc > 1).
 func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlob []float64, refresh bool) (float64, error) {
 	st := sr.st
 	st.c, st.ctx = c, ctx
-	band := st.band
+	b := st.bands[0]
+	band := b.band
 
 	// A resplit during the previous Resolve moved the band: re-derive the
 	// frozen value-refresh maps for the current range. The factorization
@@ -531,15 +521,15 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 	// ordinary refactor path below stays valid.
 	if sr.gen != st.gen {
 		sr.subMap = s.a.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi)
-		sr.depMap = s.a.SelectColumnsMap(band.Lo, band.Hi, st.depCols)
+		sr.depMap = s.a.SelectColumnsMap(band.Lo, band.Hi, b.depCols)
 		sr.gen = st.gen
 	}
 
 	// Reset the iteration state: a Resolve is a new solve from a zero guess,
 	// identical to what a fresh rank would run.
-	vec.Zero(st.xSub)
-	vec.Zero(st.xPrev)
-	vec.Zero(st.z)
+	vec.Zero(b.xSub)
+	vec.Zero(b.xPrev)
+	vec.Zero(b.z)
 	for i := range st.lastRecv {
 		vec.Zero(st.lastRecv[i])
 		st.verIncorporated[i] = 0
@@ -549,40 +539,38 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 	}
 	st.iter, st.diff, st.stableRuns, st.stableStart = 0, 0, 0, 0
 	st.factFlops = 0
-	copy(st.bSub, bGlob[band.Lo:band.Hi])
+	st.innerSweeps, st.innerFlops, st.fallbacks = 0, 0, 0
+	copy(b.bSub, bGlob[band.Lo:band.Hi])
 
 	// The simulated process is new even though the factors persist in the
 	// driver: account its working set against the fresh host. In two-stage
 	// mode the resident factor is the band preconditioner, not an LU.
-	twoStage := st.ts != nil && !st.ts.fellBack
-	factBytes := int64(0)
+	twoStage := b.ts != nil && !b.ts.fellBack
 	if twoStage {
-		factBytes = st.ts.pc.Bytes()
-		st.ts.totalSweeps, st.ts.innerFlops, st.ts.fallbacks = 0, 0, 0
-		st.ts.sched = newInnerSchedule(st.ts.opt)
-	} else {
-		factBytes = st.fact.Bytes()
+		b.ts.sched = newInnerSchedule(b.ts.opt)
 	}
-	if err := ctx.Alloc(csrBytes(st.sub) + csrBytes(st.depMat) + 8*int64(band.Size()) + factBytes); err != nil {
+	if err := ctx.Alloc(b.footprint()); err != nil {
 		return 0, err
+	}
+	if !refresh {
+		return 0, nil
+	}
+	for k, p := range sr.subMap {
+		b.sub.Val[k] = s.a.Val[p]
+	}
+	for k, p := range sr.depMap {
+		b.depMat.Val[k] = s.a.Val[p]
 	}
 
 	factStart := c.Now()
-	if refresh && twoStage {
-		// Refresh the preconditioner's band values through its frozen
-		// position map and refactor. The banded elimination cost is value
-		// dependent (pivoting), so this is a deferred segment like the
-		// initial build.
-		for k, p := range sr.subMap {
-			st.sub.Val[k] = s.a.Val[p]
-		}
-		for k, p := range sr.depMap {
-			st.depMat.Val[k] = s.a.Val[p]
-		}
-		refactFlops0 := ctx.Counter.Flops()
+	refactFlops0 := ctx.Counter.Flops()
+	if twoStage {
+		// Refactor the preconditioner from the refreshed band values. The
+		// banded elimination cost is value dependent (pivoting), so this is
+		// a deferred segment like the initial build.
 		var refErr error
 		c.ComputeDeferred(func() float64 {
-			refErr = st.ts.pc.Refresh(st.sub, ctx.Cnt())
+			refErr = b.ts.pc.Refresh(b.sub, ctx.Cnt())
 			return ctx.Counter.Flops() - ctx.Charged
 		})
 		if refErr != nil {
@@ -595,54 +583,33 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 		}
 		return c.Now() - factStart, nil
 	}
-	if refresh {
-		for k, p := range sr.subMap {
-			st.sub.Val[k] = s.a.Val[p]
+	if rf, ok := b.fact.(splu.Refactorer); ok && !s.NoRefactor {
+		// The refactor cost is frozen by the symbolic phase, so this is a
+		// declared segment; Charge reconciles the rare pivot-degradation
+		// fallback, which costs a full factorization instead.
+		var refErr error
+		c.ComputeSeg(rf.RefactorFlops(), func() {
+			refErr = rf.Refactor(b.sub, ctx.Cnt())
+		})
+		c.Charge()
+		if refErr != nil {
+			return 0, fmt.Errorf("rank %d: refactorization: %w", st.rank, refErr)
 		}
-		for k, p := range sr.depMap {
-			st.depMat.Val[k] = s.a.Val[p]
+		if sc := ctx.Observe(); sc != nil {
+			sc.Span(obs.Span{Cat: obs.CatRefact, Name: "refactor",
+				Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
 		}
-		rf, canRefactor := st.fact.(splu.Refactorer)
-		refactFlops0 := ctx.Counter.Flops()
-		if canRefactor && !s.NoRefactor {
-			// The refactor cost is frozen by the symbolic phase, so this is a
-			// declared segment; Charge reconciles the rare pivot-degradation
-			// fallback, which costs a full factorization instead.
-			var refErr error
-			c.ComputeSeg(rf.RefactorFlops(), func() {
-				refErr = rf.Refactor(st.sub, ctx.Cnt())
-			})
-			c.Charge()
-			if refErr != nil {
-				return 0, fmt.Errorf("rank %d: refactorization: %w", st.rank, refErr)
-			}
-			if sc := ctx.Observe(); sc != nil {
-				sc.Span(obs.Span{Cat: obs.CatRefact, Name: "refactor",
-					Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-			}
-		} else {
-			solver := s.o.Solver
-			if s.o.SolverPerRank != nil && s.o.SolverPerRank[st.rank] != nil {
-				solver = s.o.SolverPerRank[st.rank]
-			}
-			var fact splu.Factorization
-			var factErr error
-			c.ComputeDeferred(func() float64 {
-				fact, factErr = solver.Factor(st.sub, ctx.Cnt())
-				return ctx.Counter.Flops() - ctx.Charged
-			})
-			if factErr != nil {
-				return 0, fmt.Errorf("rank %d: %w", st.rank, factErr)
-			}
-			st.fact = fact
-			if sc := ctx.Observe(); sc != nil {
-				sc.Span(obs.Span{Cat: obs.CatFact, Name: "factor",
-					Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-			}
+	} else {
+		if err := st.factorBands(st.bands); err != nil {
+			return 0, err
 		}
-		// A fallback or re-factor may change the fill, so the per-iteration
-		// declared cost is recomputed.
-		st.stepFlops = 2*float64(st.depMat.NNZ()) + st.fact.SolveFlops() + 2*float64(band.Size())
+		if sc := ctx.Observe(); sc != nil {
+			sc.Span(obs.Span{Cat: obs.CatFact, Name: "factor",
+				Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
+		}
 	}
+	// A fallback or re-factor may change the fill, so the per-iteration
+	// declared cost is recomputed.
+	b.stepFlops = b.exactStepFlops()
 	return c.Now() - factStart, nil
 }

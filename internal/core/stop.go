@@ -29,24 +29,33 @@ func (iterateStopper) crit(st *rankState) float64 { return st.diff }
 func (iterateStopper) series() string { return "diff" }
 
 // residualStopper evaluates ‖BSub − Dep·z − ASub·XSub‖∞ — the genuine local
-// residual of the band equation given the current dependency values.
+// residual of each owned band's equation given the current dependency
+// values, maximized over the bands.
 type residualStopper struct {
 	rtmp []float64
 }
 
 func (r *residualStopper) crit(st *rankState) float64 {
-	// Length check rather than nil check: a resplit changes the band size
-	// mid-run and the scratch must follow.
-	if len(r.rtmp) != len(st.bSub) {
-		r.rtmp = make([]float64, len(st.bSub))
-	}
 	cnt := st.ctx.Counter
-	copy(r.rtmp, st.bSub)
-	if len(st.depCols) > 0 {
-		st.depMat.MulVecSub(r.rtmp, st.z, cnt)
+	crit := 0.0
+	for i, b := range st.bands {
+		// Capacity check rather than nil check: a resplit changes the band
+		// size mid-run and the scratch must follow.
+		n := len(b.bSub)
+		if cap(r.rtmp) < n {
+			r.rtmp = make([]float64, n)
+		}
+		rt := r.rtmp[:n]
+		copy(rt, b.bSub)
+		if len(b.depCols) > 0 {
+			b.depMat.MulVecSub(rt, b.z, cnt)
+		}
+		b.sub.MulVecSub(rt, b.xSub, cnt)
+		if v := vec.NormInf(rt, cnt); i == 0 || v > crit {
+			crit = v
+		}
 	}
-	st.sub.MulVecSub(r.rtmp, st.xSub, cnt)
-	return vec.NormInf(r.rtmp, cnt)
+	return crit
 }
 
 func (*residualStopper) series() string { return "residual" }

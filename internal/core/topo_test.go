@@ -192,14 +192,29 @@ func TestGatewayFlatPlatformNoop(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsMultiband: the gateway routes over the single-band
-// per-rank plan only.
+// TestGatewayRejectsMultiband: the gateway no longer rejects BandsPerProc > 1;
+// it routes each rank's per-band segments through the same batched plan. As
+// for one band per rank, the synchronous gateway run must reproduce the
+// direct exchange bitwise — iterations and X — while cutting the
+// inter-cluster message count.
 func TestGatewayRejectsMultiband(t *testing.T) {
-	a, b, _ := topoTestSystem(t)
-	pl, hosts := twoSiteClustered(2, 2)
-	_, err := Solve(pl, hosts, a, b, Options{Gateway: true, BandsPerProc: 2})
-	if err == nil || !strings.Contains(err.Error(), "incompatible with Gateway") {
-		t.Fatalf("err = %v", err)
+	o := Options{Tol: 1e-9, Overlap: 8, BandsPerProc: 2}
+	direct, _, _ := runClustered(t, 0, o)
+	o.Gateway = true
+	gw, _, _ := runClustered(t, 0, o)
+	if !direct.Converged || !gw.Converged {
+		t.Fatalf("convergence: direct %v, gateway %v", direct.Converged, gw.Converged)
+	}
+	if direct.Iterations != gw.Iterations {
+		t.Fatalf("iterations: direct %d, gateway %d", direct.Iterations, gw.Iterations)
+	}
+	for i := range direct.X {
+		if math.Float64bits(direct.X[i]) != math.Float64bits(gw.X[i]) {
+			t.Fatalf("x[%d] differs bitwise: %v vs %v", i, direct.X[i], gw.X[i])
+		}
+	}
+	if gw.InterMsgs >= direct.InterMsgs {
+		t.Fatalf("gateway inter-cluster messages did not drop: %d vs %d", gw.InterMsgs, direct.InterMsgs)
 	}
 }
 

@@ -148,7 +148,7 @@ func (s *innerSchedule) observe(r iterative.InnerResult) {
 	}
 }
 
-// twoStageState is the per-rank inner-stage state riding on rankState: the
+// twoStageState is the per-band inner-stage state riding on bandState: the
 // band preconditioner, the schedule, scratch for the sweeps and the outcome
 // of the last inner stage.
 type twoStageState struct {
@@ -157,157 +157,149 @@ type twoStageState struct {
 	sched innerSchedule
 	r, t  []float64 // sweep scratch, arena-backed
 
-	// depFlops and the per-sweep costs are frozen at build time so the
-	// variable per-iteration cost is pure arithmetic.
-	depFlops float64
-	diffN    float64
-
 	sweeps int // count chosen for the current iteration
 	res    iterative.InnerResult
 	err    error
 
-	// fellBack is set once the inner iteration diverged and the rank
+	// fellBack is set once the inner iteration diverged and the band
 	// switched to the exact band solve; the two-stage path is then skipped
 	// for the rest of the rank's life (the preconditioner demonstrably does
 	// not contract this band).
 	fellBack bool
-
-	// Per-solve tallies, aggregated into Result.
-	totalSweeps int64
-	innerFlops  float64
-	fallbacks   int
 }
 
-// stageCost returns the exact declared cost of one two-stage outer step with
-// k inner sweeps: the dependency SpMV, the sweeps (with their closing
-// residual evaluation) and the successive-iterate difference norm.
-func (ts *twoStageState) stageCost(st *rankState, k int) float64 {
-	return ts.depFlops + iterative.PrecondSweepsFlops(st.sub, ts.pc, k) + ts.diffN
+// stageCost returns the exact declared cost of one two-stage outer step of
+// band b with the current sweep count: the dependency SpMV, the sweeps (with
+// their closing residual evaluation) and the successive-iterate difference
+// norm.
+func (ts *twoStageState) stageCost(b *bandState) float64 {
+	return 2*float64(b.depMat.NNZ()) + iterative.PrecondSweepsFlops(b.sub, ts.pc, ts.sweeps) + 2*float64(b.band.Size())
 }
 
-// buildTwoStage factors the band preconditioner for a rank (deferred
-// segment, like the exact factorization: the banded elimination cost is
-// value-dependent). A singular preconditioner band is logged and reported
-// as not-built so newRankState falls back to the exact path; a memory
-// failure is final.
-func (st *rankState) buildTwoStage() (bool, error) {
+// buildTwoStage factors the band preconditioners of every owned band in one
+// deferred segment (like the exact factorization: the banded elimination
+// cost is value-dependent). A band with a singular preconditioner is logged
+// and returned among the bands left for the exact path; a memory failure is
+// final.
+func (st *rankState) buildTwoStage() ([]*bandState, error) {
 	o := st.o
 	ctx := st.ctx
-	var pc splu.Preconditioner
-	var pcErr error
+	pcs := make([]splu.Preconditioner, len(st.bands))
+	errs := make([]error, len(st.bands))
 	st.c.ComputeDeferred(func() float64 {
-		pc, pcErr = splu.NewBandPreconditioner(st.sub, o.TwoStage.PrecondBand, ctx.Cnt())
+		for i, b := range st.bands {
+			pcs[i], errs[i] = splu.NewBandPreconditioner(b.sub, o.TwoStage.PrecondBand, ctx.Cnt())
+		}
 		return ctx.Counter.Flops() - ctx.Charged
 	})
-	if pcErr != nil {
-		ctx.Faultf("rank %d: band preconditioner failed (%v); using exact band solve", st.rank, pcErr)
-		return false, nil
+	var exact []*bandState
+	var pcBytes int64
+	for i, b := range st.bands {
+		if errs[i] != nil {
+			ctx.Faultf("%s: band preconditioner failed (%v); using exact band solve", st.who(b), errs[i])
+			exact = append(exact, b)
+			continue
+		}
+		pcBytes += pcs[i].Bytes()
+		b.ts = &twoStageState{opt: o.TwoStage, pc: pcs[i], sched: newInnerSchedule(o.TwoStage)}
 	}
-	if err := ctx.Alloc(pc.Bytes()); err != nil {
-		return false, err
+	if err := ctx.Alloc(pcBytes); err != nil {
+		return nil, err
 	}
-	st.ts = &twoStageState{
-		opt:      o.TwoStage,
-		pc:       pc,
-		sched:    newInnerSchedule(o.TwoStage),
-		depFlops: 2 * float64(st.depMat.NNZ()),
-		diffN:    2 * float64(st.band.Size()),
-	}
-	return true, nil
+	return exact, nil
 }
 
-// iterateTwoStage is the two-stage computation step: pick the sweep count
-// from the schedule, run the inner stage as one declared compute segment,
-// and on divergence fall back to the exact band solve and redo the step.
-func (st *rankState) iterateTwoStage() error {
-	ts := st.ts
-	ts.sweeps = ts.sched.next(st.iter)
-	cost := ts.stageCost(st, ts.sweeps)
-	ts.err = nil
-	start := st.c.Now()
-	st.c.ComputeSeg(cost, st.stepFn)
-	if ts.err != nil {
-		if errors.Is(ts.err, iterative.ErrDiverged) {
-			return st.twoStageFallback()
-		}
-		return fmt.Errorf("rank %d: %w", st.rank, ts.err)
+// sweep is band b's two-stage step inside the step segment (worker-pool
+// rules apply: only this rank's state, never the simulator). On divergence
+// it restores the previous iterate so the exact redo starts clean.
+func (b *bandState) sweep(cnt *vec.Counter) {
+	ts := b.ts
+	copy(b.rhs, b.bSub)
+	if len(b.depCols) > 0 {
+		b.depMat.MulVecSub(b.rhs, b.z, cnt)
 	}
-	ts.totalSweeps += int64(ts.sweeps)
-	ts.innerFlops += iterative.PrecondSweepsFlops(st.sub, ts.pc, ts.sweeps)
-	ts.sched.observe(ts.res)
-	if sc := st.ctx.Observe(); sc != nil {
-		sc.Span(obs.Span{Cat: obs.CatInner, Name: "inner", Iter: st.iter,
-			Start: start, End: st.c.Now(), Flops: cost})
-		sc.Count("inner_sweeps", float64(ts.sweeps))
+	ts.res, ts.err = iterative.PrecondSweeps(b.sub, ts.pc, b.xSub, b.rhs,
+		ts.opt.Omega, ts.sweeps, ts.r, ts.t, cnt)
+	if ts.err != nil {
+		copy(b.xSub, b.xPrev)
+		return
+	}
+	b.diff = vec.DiffNormInf(b.xSub, b.xPrev, cnt)
+	copy(b.xPrev, b.xSub)
+}
+
+// finishInner books the inner stages of the step segment that began at
+// start: tallies, schedule feedback and spans for every two-stage band, and
+// the fallback to the exact band solve for a band whose sweeps diverged.
+func (st *rankState) finishInner(start float64) error {
+	ran := false
+	for _, b := range st.bands {
+		ts := b.ts
+		if ts == nil || ts.fellBack {
+			continue
+		}
+		if ts.err != nil {
+			if !errors.Is(ts.err, iterative.ErrDiverged) {
+				return fmt.Errorf("%s: %w", st.who(b), ts.err)
+			}
+			if err := st.twoStageFallback(b); err != nil {
+				return err
+			}
+			continue
+		}
+		ran = true
+		st.innerSweeps += int64(ts.sweeps)
+		st.innerFlops += iterative.PrecondSweepsFlops(b.sub, ts.pc, ts.sweeps)
+		ts.sched.observe(ts.res)
+		if sc := st.ctx.Observe(); sc != nil {
+			sc.Span(obs.Span{Cat: obs.CatInner, Name: "inner", Iter: st.iter,
+				Start: start, End: st.c.Now(), Flops: ts.stageCost(b)})
+			sc.Count("inner_sweeps", float64(ts.sweeps))
+		}
+	}
+	if sc := st.ctx.Observe(); ran && sc != nil {
 		// Cumulative sweep series: the windowed telemetry layer turns this
 		// into per-window inner-sweep progress alongside the residual series.
-		sc.Sample("inner_sweeps", st.c.Now(), float64(ts.totalSweeps))
+		sc.Sample("inner_sweeps", st.c.Now(), float64(st.innerSweeps))
 	}
 	return nil
 }
 
-// tsStep is the two-stage segment body (referenced via stepFn; worker-pool
-// rules apply: only this rank's state, never the simulator). On divergence
-// it restores the previous iterate so the exact redo starts clean.
-func (st *rankState) tsStep() {
-	ts := st.ts
-	cnt := st.ctx.Counter
-	copy(st.rhs, st.bSub)
-	if len(st.depCols) > 0 {
-		st.depMat.MulVecSub(st.rhs, st.z, cnt)
-	}
-	ts.res, ts.err = iterative.PrecondSweeps(st.sub, ts.pc, st.xSub, st.rhs,
-		ts.opt.Omega, ts.sweeps, ts.r, ts.t, cnt)
-	if ts.err != nil {
-		copy(st.xSub, st.xPrev)
-		return
-	}
-	st.diff = vec.DiffNormInf(st.xSub, st.xPrev, cnt)
-	copy(st.xPrev, st.xSub)
-}
-
-// twoStageFallback switches a rank whose inner iteration diverged to the
+// twoStageFallback switches a band whose inner iteration diverged to the
 // exact band solve: factor the band (deferred, full memory accounting — on
 // an undersized host this is where the memory wall reappears), rebuild the
-// declared step cost and redo the current iteration exactly. The aborted
+// declared step cost and redo the band's current step exactly. The aborted
 // inner segment declared more arithmetic than it performed, so the charge
 // watermark is wound back to the counted work before continuing.
-func (st *rankState) twoStageFallback() error {
-	ts := st.ts
+func (st *rankState) twoStageFallback(b *bandState) error {
+	ts := b.ts
 	ctx := st.ctx
-	ctx.Faultf("rank %d iter %d: inner sweeps diverged (%v); falling back to exact band solve",
-		st.rank, st.iter, ts.err)
+	ctx.Faultf("%s iter %d: inner sweeps diverged (%v); falling back to exact band solve",
+		st.who(b), st.iter, ts.err)
 	if f := ctx.Counter.Flops(); f < ctx.Charged {
 		ctx.Charged = f
 	}
-	solver := st.o.Solver
-	if st.o.SolverPerRank != nil && st.o.SolverPerRank[st.rank] != nil {
-		solver = st.o.SolverPerRank[st.rank]
-	}
 	start := st.c.Now()
 	f0 := ctx.Counter.Flops()
-	var fact splu.Factorization
-	var factErr error
-	st.c.ComputeDeferred(func() float64 {
-		fact, factErr = solver.Factor(st.sub, ctx.Cnt())
-		return ctx.Counter.Flops() - ctx.Charged
-	})
-	if factErr != nil {
-		return fmt.Errorf("rank %d: two-stage fallback: %w", st.rank, factErr)
+	if err := st.factorBands([]*bandState{b}); err != nil {
+		return fmt.Errorf("two-stage fallback: %w", err)
 	}
-	if err := ctx.Alloc(fact.Bytes()); err != nil {
+	if err := ctx.Alloc(b.fact.Bytes()); err != nil {
 		return err
 	}
-	st.fact = fact
 	st.factFlops += ctx.Counter.Flops() - f0
 	ts.fellBack = true
-	ts.fallbacks++
-	st.stepFlops = ts.depFlops + fact.SolveFlops() + ts.diffN
-	st.stepFn = st.step
+	st.fallbacks++
+	b.stepFlops = b.exactStepFlops()
 	if sc := ctx.Observe(); sc != nil {
 		sc.Span(obs.Span{Cat: obs.CatFact, Name: "fallback-factor",
 			Start: start, End: st.c.Now(), Flops: ctx.Counter.Flops() - f0})
 		sc.Count("twostage_fallback", 1)
 	}
-	return st.iterate()
+	st.diverged = nil
+	st.c.ComputeSeg(b.stepFlops, func() { st.solveExact(b, ctx.Counter) })
+	if st.diverged != nil {
+		return fmt.Errorf("%s: %w at iteration %d", st.who(b), ErrDiverged, st.iter)
+	}
+	return nil
 }

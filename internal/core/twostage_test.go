@@ -201,7 +201,6 @@ func TestTwoStageValidation(t *testing.T) {
 	cases := []Options{
 		{TwoStage: TwoStage{InnerIters: 2, Schedule: "sometimes"}},
 		{TwoStage: TwoStage{InnerIters: 2, Omega: 2.5}},
-		{TwoStage: TwoStage{InnerIters: 2}, BandsPerProc: 2},
 	}
 	for i, o := range cases {
 		pl, hs := lanPlatform(2, 0)

@@ -226,3 +226,26 @@ func TestLatencySensitivity(t *testing.T) {
 		t.Fatalf("WAN run %.4fs not much slower than LAN %.4fs", wanRes.Time, lanRes.Time)
 	}
 }
+
+// TestSolveDeterministic: two solves of the same system give identical fill
+// and virtual time (the RCM tie-break is a pure function of the pattern).
+func TestSolveDeterministic(t *testing.T) {
+	a := gen.CageLike(600, 7)
+	b, _ := gen.RHSForSolution(a)
+	var first *Result
+	for rep := 0; rep < 4; rep++ {
+		pl, hosts := lanPlatform(4, 0)
+		res, err := Solve(pl, hosts, a, b, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.FillNNZ != first.FillNNZ || res.Time != first.Time {
+			t.Fatalf("solve %d: fill %d time %v, first solve fill %d time %v",
+				rep, res.FillNNZ, res.Time, first.FillNNZ, first.Time)
+		}
+	}
+}

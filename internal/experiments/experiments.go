@@ -80,8 +80,9 @@ type Config struct {
 	TwoStagePrecondBand int
 	// Adapt enables the live decomposition (online band resplits,
 	// internal/adapt) in every synchronous multisplitting run of the paper
-	// tables; the adaptive experiment always runs its adaptive leg.
-	// Asynchronous runs ignore it — resplits need lockstep.
+	// tables, two-stage runs included; the adaptive experiment always runs
+	// its adaptive leg. Asynchronous runs ignore it — resplits need
+	// lockstep.
 	Adapt bool
 	// AdaptInterval overrides the iterations between controller epochs (0
 	// keeps the per-experiment default).
@@ -333,7 +334,7 @@ func runMS(cfg Config, plt *cluster.Platform, a *sparse.CSR, b []float64, o msOp
 		Gateway:         o.gateway,
 		TwoStage:        o.ts,
 	}
-	if cfg.Adapt && !o.async && o.ts.InnerIters == 0 {
+	if cfg.Adapt && !o.async {
 		co.Adapt = true
 		co.AdaptInterval = cfg.AdaptInterval
 		co.AdaptHysteresis = cfg.AdaptHysteresis

@@ -32,12 +32,16 @@ func RCM(a *sparse.CSR) []int {
 		deg[i] = len(adj[i])
 	}
 	visited := make([]bool, n)
+	levels := make([]int, n)
+	for i := range levels {
+		levels[i] = -1
+	}
 	orderOldByNew := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, deg, start)
+		root := pseudoPeripheral(adj, deg, levels, start)
 		// BFS from root, neighbors in increasing-degree order.
 		queue := []int{root}
 		visited[root] = true
@@ -99,22 +103,30 @@ func symAdjacency(a *sparse.CSR) [][]int {
 
 // pseudoPeripheral finds a vertex of (approximately) maximum eccentricity in
 // the connected component of start, using the standard George–Liu iteration.
-func pseudoPeripheral(adj [][]int, deg []int, start int) int {
+// levels is an all −1 scratch of length n, returned in that state. Among
+// equal-degree candidates in the last level the smallest index wins, so the
+// ordering is a pure function of the pattern.
+func pseudoPeripheral(adj [][]int, deg, levels []int, start int) int {
 	root := start
 	lastEcc := -1
+	var comp []int
 	for iter := 0; iter < 8; iter++ {
-		levels, ecc := bfsLevels(adj, root)
+		var ecc int
+		comp, ecc = bfsLevels(adj, root, levels, comp[:0])
+		best, bestDeg := -1, 1<<62
+		for _, v := range comp {
+			if levels[v] == ecc && (deg[v] < bestDeg || deg[v] == bestDeg && v < best) {
+				best, bestDeg = v, deg[v]
+			}
+		}
+		for _, v := range comp {
+			levels[v] = -1
+		}
 		if ecc <= lastEcc {
 			break
 		}
 		lastEcc = ecc
-		// Pick the minimum-degree vertex in the last level.
-		best, bestDeg := -1, 1<<62
-		for v, l := range levels {
-			if l == ecc && deg[v] < bestDeg {
-				best, bestDeg = v, deg[v]
-			}
-		}
+		// Move to the minimum-degree vertex of the last level.
 		if best == -1 || best == root {
 			break
 		}
@@ -123,15 +135,17 @@ func pseudoPeripheral(adj [][]int, deg []int, start int) int {
 	return root
 }
 
-func bfsLevels(adj [][]int, root int) (map[int]int, int) {
-	levels := map[int]int{root: 0}
-	queue := []int{root}
+// bfsLevels fills levels[v] with the BFS distance from root for every vertex
+// of root's component (levels must be −1 there on entry) and returns the
+// component in visit order, appended to queue, plus the eccentricity of root.
+func bfsLevels(adj [][]int, root int, levels, queue []int) ([]int, int) {
+	levels[root] = 0
+	queue = append(queue, root)
 	ecc := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, w := range adj[v] {
-			if _, ok := levels[w]; !ok {
+			if levels[w] < 0 {
 				levels[w] = levels[v] + 1
 				if levels[w] > ecc {
 					ecc = levels[w]
@@ -140,7 +154,7 @@ func bfsLevels(adj [][]int, root int) (map[int]int, int) {
 			}
 		}
 	}
-	return levels, ecc
+	return queue, ecc
 }
 
 // MaxTransversal computes a row permutation that puts a structurally

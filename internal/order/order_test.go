@@ -139,3 +139,40 @@ func TestBandAfterIdentityPerm(t *testing.T) {
 		t.Fatalf("BandAfter(id) = %d, want %d", got, a.Bandwidth())
 	}
 }
+
+// TestRCMDeterministicTies: a double star has many equal-degree candidates
+// in every last BFS level; the pseudo-peripheral search must resolve them
+// the same way (smallest index) on every call.
+func TestRCMDeterministicTies(t *testing.T) {
+	// Hubs 0 and 1 are joined; each carries 16 leaves of degree 1.
+	n := 34
+	co := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		co.Append(i, i, 4)
+	}
+	link := func(i, j int) {
+		co.Append(i, j, -1)
+		co.Append(j, i, -1)
+	}
+	link(0, 1)
+	for k := 2; k < n; k++ {
+		link(k%2, k)
+	}
+	a := co.ToCSR()
+	want := RCM(a)
+	for rep := 0; rep < 50; rep++ {
+		got := RCM(a)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("call %d: perm[%d] = %d, first call gave %d", rep, i, got[i], want[i])
+			}
+		}
+	}
+	// From hub 0 the last level is hub 1's leaves (odd indices); the
+	// smallest, 3, is the first pseudo-peripheral pick. From 3 the last
+	// level is hub 0's leaves, so the search settles on 2, which the
+	// reversed Cuthill–McKee order puts last.
+	if want[2] != n-1 {
+		t.Fatalf("root: perm[2] = %d, want %d", want[2], n-1)
+	}
+}

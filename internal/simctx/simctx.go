@@ -8,8 +8,8 @@
 //
 // Ownership contract: every simulated process builds exactly one Ctx and is
 // its sole writer, mirroring vec.Counter's single-owner rule. Cross-process
-// aggregation goes through vec.Total (the atomic merge point), never by
-// sharing a Ctx.
+// aggregation reads each process's counter after it finishes (core folds
+// per-rank records in rank order), never by sharing a Ctx.
 package simctx
 
 import (

@@ -19,7 +19,7 @@ import (
 // compute segment handed to the parallel vgrid scheduler (Proc.ComputeFunc)
 // counts into its owner's Counter, which is safe because the scheduler never
 // resumes the owning process until the segment has finished. Cross-process
-// totals are combined through Total, the one atomic aggregation point —
+// totals are combined from the owners' final counts (or through Total) —
 // never by sharing a Counter between processes.
 type Counter struct {
 	flops float64
