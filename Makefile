@@ -15,9 +15,11 @@ test:
 # second runs pin the observability determinism contract (byte-identical
 # exports for 1 vs N workers) and the communication-plan equivalence
 # contract (byte-identical iterates and traces for the gateway exchange)
-# under the race detector.
+# under the race detector. The explicit timeout covers internal/experiments,
+# whose table-shape tests take 556-735 s under -race on a 2-CPU host, past
+# go test's default 10-minute limit.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical' ./internal/obs
 	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestModeMatrix|TestResultFoldAcrossLanes' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid

@@ -11,7 +11,7 @@
 //	       [-ft] [-drop P] [-drop-link NAME] [-crash host@from:until,...]
 //	       [-slow host@from:until:factor,...] [-fault-seed S]
 //	       [-trace-json out.json] [-metrics-out PREFIX]
-//	       [-critical-path] [-window W] [-stream-trace]
+//	       [-critical-path] [-window W] [-stream-trace] [-trace]
 //	       [-adapt] [-adapt-interval K] [-adapt-hysteresis H] [-balance]
 //
 // -hosts switches from the built-in clusters to a generated grid platform
@@ -43,8 +43,12 @@
 // attribution, and per-lane scheduler stats on sharded runs; analyzed with
 // cmd/msprof), and -stream-trace flushes the Perfetto trace incrementally
 // behind a bounded flight-recorder ring so span memory stays flat on huge
-// grids. All outputs are deterministic for any -workers and -lanes value
-// (-lanes 0 shards the event core into one scheduler lane per cluster).
+// grids. -trace prints a per-processor activity timeline (send, delivery,
+// drop and crash/restart density over virtual time) read from the same
+// recorder; it needs the retained spans, so it is exclusive with
+// -stream-trace. All outputs are deterministic for any -workers and -lanes
+// value (-lanes 0 shards the event core into one scheduler lane per
+// cluster).
 //
 // The fault flags inject deterministic failures into the simulated grid:
 // -drop loses each message crossing -drop-link (default the inter-site
@@ -102,7 +106,7 @@ func main() {
 		synSeed    = flag.Int64("synth-seed", 1, "seed of the generated grid's host speeds")
 		tol        = flag.Float64("tol", 1e-8, "successive-iterate accuracy")
 		cond       = flag.Bool("cond", false, "estimate the 1-norm condition number before solving")
-		trace      = flag.Bool("trace", false, "print a per-processor activity timeline after the solve")
+		timeline   = flag.Bool("trace", false, "print a per-processor activity timeline after the solve (turns the obs recorder on; exclusive with -stream-trace)")
 		workers    = flag.Int("workers", 0, "worker threads for compute segments (0 = GOMAXPROCS); results are identical for any value")
 		lanes      = flag.Int("lanes", 1, "scheduler lanes (0 = auto: one per cluster); results are identical for any value")
 		outPath    = flag.String("o", "", "write the solution vector to this file")
@@ -149,7 +153,7 @@ func main() {
 	faults := faultSpec{drop: *drop, dropLink: *dropLink, crash: *crash, slow: *slow, seed: *faultSeed, ft: *ft}
 	ad := adaptSpec{balance: *balance, on: *adapt, interval: *adaptInt, hysteresis: *adaptHyst}
 	ospec := obsSpec{traceJSON: *traceJSON, metricsOut: *metricsOut, critPath: *critPath,
-		window: *window, streamTrace: *streamTr}
+		window: *window, streamTrace: *streamTr, timeline: *timeline}
 	if err := ospec.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "msolve:", err)
 		os.Exit(2)
@@ -158,7 +162,7 @@ func main() {
 	if *twoStage {
 		ts = core.TwoStage{InnerIters: *inner, Schedule: *innerSched, Omega: *omega, PrecondBand: *pcBand}
 	}
-	if err := run(*matrixPath, *rhsPath, *procs, *overlap, *async, *topo, *gateway, *schemeName, *solverName, *clusterTyp, synth, *tol, *cond, *trace, *workers, *lanes, *outPath, faults, ospec, ts, ad); err != nil {
+	if err := run(*matrixPath, *rhsPath, *procs, *overlap, *async, *topo, *gateway, *schemeName, *solverName, *clusterTyp, synth, *tol, *cond, *workers, *lanes, *outPath, faults, ospec, ts, ad); err != nil {
 		fmt.Fprintln(os.Stderr, "msolve:", err)
 		os.Exit(1)
 	}
@@ -178,11 +182,12 @@ type obsSpec struct {
 	critPath    bool
 	window      float64
 	streamTrace bool
+	timeline    bool
 }
 
 // enabled reports whether any observability output was requested.
 func (ospec obsSpec) enabled() bool {
-	return ospec.traceJSON != "" || ospec.metricsOut != "" || ospec.critPath || ospec.window > 0
+	return ospec.traceJSON != "" || ospec.metricsOut != "" || ospec.critPath || ospec.window > 0 || ospec.timeline
 }
 
 // validate rejects contradictory observability flag combinations up front.
@@ -195,6 +200,9 @@ func (ospec obsSpec) validate() error {
 	}
 	if ospec.streamTrace && ospec.critPath {
 		return fmt.Errorf("-stream-trace does not retain spans, so -critical-path is unavailable; drop one of the two")
+	}
+	if ospec.streamTrace && ospec.timeline {
+		return fmt.Errorf("-stream-trace does not retain spans, so the -trace timeline is unavailable; drop one of the two")
 	}
 	return nil
 }
@@ -385,7 +393,7 @@ func cutLast(s, sep string) (before, after string, found bool) {
 	return s[:i], s[i+len(sep):], true
 }
 
-func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bool, schemeName, solverName, clusterTyp string, synth synthSpec, tol float64, cond, trace bool, workers, lanes int, outPath string, faults faultSpec, ospec obsSpec, ts core.TwoStage, ad adaptSpec) error {
+func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bool, schemeName, solverName, clusterTyp string, synth synthSpec, tol float64, cond bool, workers, lanes int, outPath string, faults faultSpec, ospec obsSpec, ts core.TwoStage, ad adaptSpec) error {
 	a, err := mmio.ReadMatrixAuto(matrixPath)
 	if err != nil {
 		return err
@@ -494,11 +502,6 @@ func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bo
 		e.SetFaultPlan(plan)
 		fmt.Printf("fault injection: seed %d, drop %.3g on %q, crash schedule %q, slowdown schedule %q, fault-tolerant %v\n",
 			faults.seed, faults.drop, faults.dropLink, faults.crash, faults.slow, faults.ft)
-	}
-	var rec *vgrid.Recorder
-	if trace {
-		rec = &vgrid.Recorder{}
-		e.Record(rec)
 	}
 	var orec *obs.Recorder
 	var stream *obs.Streamer
@@ -617,9 +620,9 @@ func run(matrixPath, rhsPath string, procs, overlap int, async, topo, gateway bo
 		}
 		fmt.Printf("error vs exact all-ones solution: %.3e\n", worst)
 	}
-	if trace {
+	if ospec.timeline {
 		fmt.Println("\nper-processor activity timeline (event density over virtual time):")
-		if err := rec.WriteTimeline(os.Stdout, 64); err != nil {
+		if err := obs.WriteTimeline(os.Stdout, orec, 64); err != nil {
 			return err
 		}
 	}

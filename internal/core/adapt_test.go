@@ -38,7 +38,7 @@ func degradedPlan() *vgrid.FaultPlan {
 
 // adaptiveSolve runs one solve on a 6-host, 3-cluster synthetic grid (lane
 // shardable: one lane per cluster) with the given fault plan, worker count
-// and lane count, capturing the full scheduler trace.
+// and lane count, with an obs recorder attached, returning the run print.
 func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Options) (*Result, string) {
 	t.Helper()
 	a := gen.DiagDominant(adaptGen)
@@ -51,8 +51,7 @@ func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Op
 	if lanes >= 0 {
 		e.SetLanes(lanes)
 	}
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := observe(e)
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
@@ -60,11 +59,12 @@ func adaptiveSolve(t *testing.T, workers, lanes int, plan *vgrid.FaultPlan, o Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	end, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	pend.Finish()
-	return pend.Result(), sb.String()
+	return pend.Result(), runPrint(t, e, rec, end)
 }
 
 // adaptXTrue is the reference solution of the system adaptiveSolve builds.
@@ -144,7 +144,8 @@ func TestAdaptiveNoFaultsNoResplit(t *testing.T) {
 
 // TestAdaptiveDeterministicAcrossLanesAndWorkers is the tentpole determinism
 // contract: with the controller live on a fault-laden topology, the engine
-// must produce byte-identical traces, bitwise-identical iterates and the
+// must produce byte-identical obs exports and commit counts,
+// bitwise-identical iterates and the
 // same resplit timeline for every worker and lane count.
 func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 	cases := []struct {
@@ -164,8 +165,7 @@ func TestAdaptiveDeterministicAcrossLanesAndWorkers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res, trace := adaptiveSolve(t, tc.workers, tc.lanes, degradedPlan(), adaptOptions())
 			if trace != refTrace {
-				d := firstDiffLine(refTrace, trace)
-				t.Fatalf("trace diverges from w1-l1 (first differing line %d):\nref: %s\ngot: %s", d[0], d[1], d[2])
+				t.Fatal("obs export diverges from w1-l1")
 			}
 			if res.Iterations != ref.Iterations || res.Time != ref.Time {
 				t.Fatalf("results diverge: %d/%v vs %d/%v", res.Iterations, res.Time, ref.Iterations, ref.Time)

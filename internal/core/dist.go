@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 
 	"repro/internal/mp"
@@ -97,11 +96,6 @@ type Options struct {
 	// (the paper's Remark 2), cyclically: rank r owns bands r, r+P, r+2P….
 	// Default 1.
 	BandsPerProc int
-	// Trace, when non-nil, receives iteration-level diagnostics from the
-	// asynchronous driver (one line per iteration per rank). It replaces
-	// the old package-level debug switch; pass os.Stderr to get the former
-	// behavior.
-	Trace io.Writer
 	// FaultTolerant opts into the degraded operating mode for unreliable
 	// grids (vgrid.FaultPlan): every send is retransmitted with exponential
 	// backoff in virtual time (SendRetries/SendBackoff), the synchronous

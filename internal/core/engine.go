@@ -336,12 +336,10 @@ func (st *rankState) recvCritical(from, tag int, what string) (*mp.Packet, error
 	if !o.FaultTolerant {
 		return c.Recv(from, tag), nil
 	}
-	for attempt := 1; attempt <= o.SendRetries; attempt++ {
+	for range o.SendRetries {
 		if pk := c.RecvTimeout(from, tag, o.DeadRankTimeout); pk != nil {
 			return pk, nil
 		}
-		st.ctx.Faultf("rank %d iter %d: no %s from rank %d after %.3fs (attempt %d/%d)",
-			st.rank, st.iter, what, from, o.DeadRankTimeout, attempt, o.SendRetries)
 	}
 	switch {
 	case c.PeerFailed(from):
@@ -525,7 +523,6 @@ func msRank(c *mp.Comm, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *pl
 	c.Tree = o.TreeCollectives
 	c.Topo = o.TopoCollectives
 	ctx := simctx.New()
-	ctx.Trace = o.Trace
 	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
 	if o.TrackMemory {
 		ctx.Mem = c.Proc()

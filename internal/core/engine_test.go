@@ -1,16 +1,44 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/vgrid"
 )
 
+// observe attaches a fresh obs recorder to the engine.
+func observe(e *vgrid.Engine) *obs.Recorder {
+	rec := &obs.Recorder{}
+	e.Observe(rec)
+	return rec
+}
+
+// tracePrint is the recorder's Perfetto export, the byte stream a
+// deterministic run must reproduce exactly.
+func tracePrint(t *testing.T, rec *obs.Recorder) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteTraceJSON(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// runPrint is what a deterministic run must reproduce byte for byte: the
+// recorder's Perfetto export, the final virtual time and the commit count.
+func runPrint(t *testing.T, e *vgrid.Engine, rec *obs.Recorder, vt float64) string {
+	t.Helper()
+	commits, _ := e.EventStats()
+	return fmt.Sprintf("%svt=%v commits=%d\n", tracePrint(t, rec), vt, commits)
+}
+
 // runWithWorkers solves a Table-1-shaped system on an 8-host LAN with the
-// given worker count, capturing the full scheduler trace.
+// given worker count, returning the run print.
 func runWithWorkers(t *testing.T, workers int, o Options) (string, *Result) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 712, Band: 60, PerRow: 10, Margin: 0.05, Negative: true, Seed: 1010})
@@ -18,8 +46,7 @@ func runWithWorkers(t *testing.T, workers int, o Options) (string, *Result) {
 	pl, hosts := lanPlatform(8, 0)
 	e := vgrid.NewEngine(pl)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := observe(e)
 	pend, err := Launch(e, hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +57,12 @@ func runWithWorkers(t *testing.T, workers int, o Options) (string, *Result) {
 	}
 	pend.res.Time = end
 	pend.Finish()
-	return sb.String(), pend.Result()
+	return runPrint(t, e, rec, end), pend.Result()
 }
 
 // TestEngineWorkersDeterministic: running the compute segments on a pool of
-// 4 OS threads must leave the simulation bit-for-bit unchanged — the byte
-// stream of scheduler events, the solution vector, the iteration counts and
+// 4 OS threads must leave the simulation bit-for-bit unchanged — the obs
+// export, the commit count, the solution vector, the iteration counts and
 // the flop totals all identical to the fully serial run.
 func TestEngineWorkersDeterministic(t *testing.T) {
 	cases := []struct {
@@ -50,8 +77,7 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 			tr1, res1 := runWithWorkers(t, 1, tc.o)
 			tr4, res4 := runWithWorkers(t, 4, tc.o)
 			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
+				t.Fatal("obs exports diverge between 1 and 4 workers")
 			}
 			if res1.Iterations != res4.Iterations {
 				t.Fatalf("iterations: %d vs %d", res1.Iterations, res4.Iterations)
@@ -74,32 +100,5 @@ func TestEngineWorkersDeterministic(t *testing.T) {
 				t.Fatal("reference run did not converge")
 			}
 		})
-	}
-}
-
-func firstDiffLine(a, b string) [3]interface{} {
-	la := strings.Split(a, "\n")
-	lb := strings.Split(b, "\n")
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			return [3]interface{}{i + 1, la[i], lb[i]}
-		}
-	}
-	return [3]interface{}{len(la), "<end>", "<end>"}
-}
-
-// TestTraceOption: the async iteration diagnostics must flow through
-// Options.Trace (per-solve, race-free) and stay silent when unset.
-func TestTraceOption(t *testing.T) {
-	a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Seed: 7})
-	b, _ := gen.RHSForSolution(a)
-	pl, hosts := lanPlatform(4, 0)
-	var sb strings.Builder
-	if _, err := Solve(pl, hosts, a, b, Options{Async: true, Trace: &sb}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "DBG rank=") {
-		t.Fatalf("Options.Trace received no iteration diagnostics:\n%q", out)
 	}
 }

@@ -190,12 +190,9 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			}
 		}
 	}
-	st.ctx.Tracef("DBG rank=%d iter=%d t=%.5f crit=%.3e round=%v stable=%d localOK=%v",
-		st.rank, st.iter, st.c.Now(), crit, roundComplete, st.stableRuns, localOK)
 	if st.o.FaultTolerant {
 		if now := st.c.Now(); now-ap.lastRefresh >= st.o.DeadRankTimeout {
 			ap.lastRefresh = now
-			st.ctx.Faultf("rank %d iter %d: detector refresh", st.rank, st.iter)
 			if sc := st.ctx.Observe(); sc != nil {
 				sc.Span(obs.Span{Cat: obs.CatDetect, Name: "detector-refresh",
 					Start: now, End: now, Iter: st.iter})
@@ -291,8 +288,6 @@ func (bp *boundedStalePolicy) tuneBounds(st *rankState) {
 	for gi := range bp.bounds {
 		nb := adapt.TuneStale(bp.bounds[gi], bp.maxStale, bp.forced[gi], bp.fresh[gi], bp.inter[gi])
 		if nb != bp.bounds[gi] {
-			st.ctx.Tracef("rank %d iter %d: staleness bound for rank %d contributor: %d -> %d",
-				st.rank, st.iter, st.rp.Recv[gi].Peer, bp.bounds[gi], nb)
 			if sc := st.ctx.Observe(); sc != nil {
 				sc.Count("stale_retune", 1)
 			}

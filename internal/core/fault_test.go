@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/vgrid"
 )
 
 // faultedSolve runs one distributed solve on a 2+2 two-site platform with an
-// optional fault plan, capturing the full engine trace.
-func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options) (*Result, string, error) {
+// optional fault plan and an obs recorder attached, returning the result,
+// the run print and the recorder.
+func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options) (*Result, string, *obs.Recorder, error) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Seed: 23})
 	b, _ := gen.RHSForSolution(a)
@@ -20,11 +22,7 @@ func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options)
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
-	var trace strings.Builder
-	e.Trace = func(line string) {
-		trace.WriteString(line)
-		trace.WriteByte('\n')
-	}
+	rec := observe(e)
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
@@ -35,7 +33,7 @@ func faultedSolve(t *testing.T, workers int, plan *vgrid.FaultPlan, opt Options)
 	end, err := e.Run()
 	pend.res.Time = end
 	pend.done = true
-	return pend.Result(), trace.String(), err
+	return pend.Result(), runPrint(t, e, rec, end), rec, err
 }
 
 func ftAsyncOptions() Options {
@@ -44,18 +42,27 @@ func ftAsyncOptions() Options {
 
 // TestFaultedSolveDeterministicAcrossWorkers: a full fault-tolerant
 // asynchronous solve under 5% WAN message drop must produce byte-identical
-// engine traces for a serial and a 4-thread worker pool.
+// obs exports and commit counts for a serial and a 4-thread worker pool.
 func TestFaultedSolveDeterministicAcrossWorkers(t *testing.T) {
 	plan := func() *vgrid.FaultPlan {
 		return vgrid.NewFaultPlan(7).DropOnLink("wan", 0, math.Inf(1), 0.05)
 	}
-	res1, tr1, err1 := faultedSolve(t, 1, plan(), ftAsyncOptions())
-	res4, tr4, err4 := faultedSolve(t, 4, plan(), ftAsyncOptions())
+	res1, tr1, rec, err1 := faultedSolve(t, 1, plan(), ftAsyncOptions())
+	res4, tr4, _, err4 := faultedSolve(t, 4, plan(), ftAsyncOptions())
 	if err1 != nil || err4 != nil {
 		t.Fatalf("faulted solves failed: %v / %v", err1, err4)
 	}
 	if tr1 != tr4 {
-		t.Fatal("engine traces differ between 1 and 4 workers under faults")
+		t.Fatal("obs exports differ between 1 and 4 workers under faults")
+	}
+	drops := 0
+	for _, s := range rec.Spans() {
+		if s.Cat == obs.CatNet && s.Note == "loss" {
+			drops++
+		}
+	}
+	if drops == 0 {
+		t.Fatal("no dropped transfers in the faulted run")
 	}
 	if res1.Time != res4.Time || res1.Iterations != res4.Iterations {
 		t.Fatalf("results differ: time %v vs %v, iters %d vs %d",
@@ -64,15 +71,15 @@ func TestFaultedSolveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestZeroFaultSolveIdenticalToNoPlan: installing an empty fault plan must
-// not perturb the trace of a fault-free solve in any way.
+// not perturb the run print of a fault-free solve in any way.
 func TestZeroFaultSolveIdenticalToNoPlan(t *testing.T) {
-	_, trNone, errNone := faultedSolve(t, 0, nil, ftAsyncOptions())
-	_, trZero, errZero := faultedSolve(t, 0, vgrid.NewFaultPlan(99), ftAsyncOptions())
+	_, trNone, _, errNone := faultedSolve(t, 0, nil, ftAsyncOptions())
+	_, trZero, _, errZero := faultedSolve(t, 0, vgrid.NewFaultPlan(99), ftAsyncOptions())
 	if errNone != nil || errZero != nil {
 		t.Fatalf("solves failed: %v / %v", errNone, errZero)
 	}
 	if trNone != trZero {
-		t.Fatal("zero-fault plan perturbed the engine trace")
+		t.Fatal("zero-fault plan perturbed the run")
 	}
 }
 
@@ -83,11 +90,11 @@ func TestFaultedAsyncMatchesFaultFree(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Seed: 23})
 	_, xtrue := gen.RHSForSolution(a)
 
-	clean, _, err := faultedSolve(t, 0, nil, ftAsyncOptions())
+	clean, _, _, err := faultedSolve(t, 0, nil, ftAsyncOptions())
 	if err != nil {
 		t.Fatalf("fault-free solve: %v", err)
 	}
-	faulted, _, err := faultedSolve(t, 0,
+	faulted, _, _, err := faultedSolve(t, 0,
 		vgrid.NewFaultPlan(7).DropOnLink("wan", 0, math.Inf(1), 0.05), ftAsyncOptions())
 	if err != nil {
 		t.Fatalf("faulted solve: %v", err)
@@ -105,7 +112,7 @@ func TestFaultedAsyncMatchesFaultFree(t *testing.T) {
 // diagnostic instead of deadlocking.
 func TestSyncDeadRankFailFast(t *testing.T) {
 	plan := vgrid.NewFaultPlan(1).CrashHost("h3", 0.001, math.Inf(1))
-	_, _, err := faultedSolve(t, 0, plan, Options{Tol: 1e-9, FaultTolerant: true})
+	_, _, _, err := faultedSolve(t, 0, plan, Options{Tol: 1e-9, FaultTolerant: true})
 	if err == nil {
 		t.Fatal("expected a dead-rank error, got success")
 	}
@@ -121,18 +128,24 @@ func TestAsyncCrashRestartConverges(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 240, Seed: 23})
 	_, xtrue := gen.RHSForSolution(a)
 
-	clean, _, err := faultedSolve(t, 0, nil, ftAsyncOptions())
+	clean, _, _, err := faultedSolve(t, 0, nil, ftAsyncOptions())
 	if err != nil {
 		t.Fatalf("fault-free solve: %v", err)
 	}
 	from, until := 0.25*clean.Time, 0.5*clean.Time
 	plan := vgrid.NewFaultPlan(3).CrashHost("h2", from, until)
-	res, trace, err := faultedSolve(t, 0, plan, ftAsyncOptions())
+	res, _, rec, err := faultedSolve(t, 0, plan, ftAsyncOptions())
 	if err != nil {
 		t.Fatalf("crash/restart solve: %v", err)
 	}
-	if !strings.Contains(trace, "h2 crash") || !strings.Contains(trace, "h2 restart") {
-		t.Fatal("trace does not record the crash/restart events")
+	marks := map[string]int{}
+	for _, s := range rec.Spans() {
+		if s.Cat == obs.CatMark && s.Track == "h2" {
+			marks[s.Name]++
+		}
+	}
+	if marks["crash"] != 1 || marks["restart"] != 1 {
+		t.Fatalf("recorder does not hold the crash/restart marks: %v", marks)
 	}
 	checkSolution(t, res, xtrue, 1e-6)
 	if res.Time <= clean.Time {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/splu"
 	"repro/internal/vec"
 	"repro/internal/vgrid"
@@ -21,8 +19,6 @@ import (
 type modeRow struct {
 	name string
 	o    Options
-	// obs attaches a recorder and compares its trace export across runs.
-	obs bool
 	// degrade slows one host for the whole solve, so the adaptive
 	// controller has an imbalance to resplit on.
 	degrade bool
@@ -51,7 +47,7 @@ var modeRows = []modeRow{
 	{name: "multiband-faulttolerant", o: Options{BandsPerProc: 2, FaultTolerant: true, Async: true}},
 	{name: "multiband-solverperrank", o: Options{BandsPerProc: 3,
 		SolverPerRank: []splu.Direct{splu.BandSolver{}, nil, splu.DenseSolver{}, nil, nil, splu.BandSolver{}}}},
-	{name: "multiband-obs", o: Options{BandsPerProc: 2, Overlap: 3}, obs: true},
+	{name: "multiband-obs", o: Options{BandsPerProc: 2, Overlap: 3}},
 	{name: "adapt-twostage", o: Options{Adapt: true, AdaptInterval: 4, AdaptHysteresis: 0.05, Overlap: 4, TrackMemory: true,
 		TwoStage: TwoStage{InnerIters: 4, PrecondBand: 4}}, degrade: true, wantResplit: true},
 	{name: "adapt-multiband", o: Options{Adapt: true, BandsPerProc: 2},
@@ -63,9 +59,8 @@ var modeRows = []modeRow{
 // modeRun is the observable outcome of one mode-matrix solve.
 type modeRun struct {
 	res         *Result
-	trace       string
-	traceJSON   []byte
-	msgs, bytes int64 // summed over the engine's solver processes
+	print       string // obs export, virtual time and commit count
+	msgs, bytes int64  // summed over the engine's solver processes
 }
 
 // modeSystem is the system every row solves: banded and diagonally
@@ -89,13 +84,7 @@ func runGrid(t *testing.T, hosts, clusters int, sys gen.DiagDominantOpts, row mo
 	e := vgrid.NewEngine(plt.Platform)
 	e.SetWorkers(workers)
 	e.SetLanes(lanes)
-	var trace strings.Builder
-	e.Trace = func(line string) { trace.WriteString(line); trace.WriteByte('\n') }
-	var rec *obs.Recorder
-	if row.obs {
-		rec = &obs.Recorder{}
-		e.Observe(rec)
-	}
+	rec := observe(e)
 	if row.degrade {
 		e.SetFaultPlan(vgrid.NewFaultPlan(7).DegradeHost(plt.Hosts[4].Name, 0.0005, math.Inf(1), 8))
 	}
@@ -107,21 +96,15 @@ func runGrid(t *testing.T, hosts, clusters int, sys gen.DiagDominantOpts, row mo
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.Run(); err != nil {
+	end, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	pend.Finish()
-	run := &modeRun{res: pend.Result(), trace: trace.String()}
+	run := &modeRun{res: pend.Result(), print: runPrint(t, e, rec, end)}
 	for _, pr := range pend.procs {
 		run.msgs += pr.MsgsSent
 		run.bytes += pr.BytesSent
-	}
-	if rec != nil {
-		var buf bytes.Buffer
-		if err := obs.WriteTraceJSON(&buf, rec); err != nil {
-			t.Fatal(err)
-		}
-		run.traceJSON = buf.Bytes()
 	}
 	return run, nil
 }
@@ -181,11 +164,8 @@ func TestModeMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := fmt.Sprintf("workers=%d lanes=%d", cfg.workers, cfg.lanes)
-				if got.trace != base.trace {
-					t.Fatalf("%s: engine trace differs from the serial single-lane run", tag)
-				}
-				if !bytes.Equal(got.traceJSON, base.traceJSON) {
-					t.Fatalf("%s: trace export differs", tag)
+				if got.print != base.print {
+					t.Fatalf("%s: obs export differs from the serial single-lane run", tag)
 				}
 				if floatsSHA(got.res.X) != floatsSHA(res.X) || fmt.Sprintf("%+v", *got.res) != want {
 					t.Fatalf("%s: result differs", tag)

@@ -345,10 +345,6 @@ type Session struct {
 	// NoRefactor forces a full factorization on every Resolve (per-step
 	// Factor baseline, for ablation).
 	NoRefactor bool
-	// EngineTrace, when set, receives every scheduler event line of every
-	// Resolve's engine (the determinism witness: the stream must be
-	// byte-identical for any Workers setting).
-	EngineTrace func(line string)
 	// Obs, when set, is attached to every Resolve's engine; spans of
 	// successive Resolves accumulate (each on its own virtual timeline
 	// starting at zero).
@@ -438,9 +434,6 @@ func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
 	if s.Workers > 0 {
 		e.SetWorkers(s.Workers)
 	}
-	if s.EngineTrace != nil {
-		e.Trace = s.EngineTrace
-	}
 	if s.Obs != nil {
 		e.Observe(s.Obs)
 	}
@@ -470,7 +463,6 @@ func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pend
 	c.Tree = s.o.TreeCollectives
 	c.Topo = s.o.TopoCollectives
 	ctx := simctx.New()
-	ctx.Trace = s.o.Trace
 	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
 	if s.o.TrackMemory {
 		ctx.Mem = c.Proc()

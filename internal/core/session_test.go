@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/splu"
 	"repro/internal/vec"
@@ -170,8 +170,8 @@ func TestSeqSessionResolveAllocationFree(t *testing.T) {
 }
 
 // runSessionWithWorkers drives a 3-step resolve sequence (factor, then two
-// refactorized solves) with the given worker count, capturing the
-// concatenated scheduler traces of all three engines.
+// refactorized solves) with the given worker count, returning the Perfetto
+// export of the recorder all three engines share.
 func runSessionWithWorkers(t *testing.T, workers int, o Options) (string, []*Result, float64) {
 	t.Helper()
 	m := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.08, Negative: true, Seed: 3030})
@@ -182,8 +182,7 @@ func runSessionWithWorkers(t *testing.T, workers int, o Options) (string, []*Res
 		t.Fatal(err)
 	}
 	sess.Workers = workers
-	var sb strings.Builder
-	sess.EngineTrace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	sess.Obs = &obs.Recorder{}
 	var results []*Result
 	r0, err := sess.Resolve(nil, b)
 	if err != nil {
@@ -197,12 +196,12 @@ func runSessionWithWorkers(t *testing.T, workers int, o Options) (string, []*Res
 		}
 		results = append(results, r)
 	}
-	return sb.String(), results, sess.FactorFlops
+	return tracePrint(t, sess.Obs), results, sess.FactorFlops
 }
 
 // TestSessionWorkersDeterministic: with sessions and refactorization enabled,
-// the concatenated scheduler traces of a factor + refactor + refactor resolve
-// sequence must stay byte-identical across worker counts, in both sync and
+// obs export of a factor + refactor + refactor resolve sequence (all three
+// engines feed one recorder) must stay byte-identical across worker counts, in both sync and
 // async mode, along with bitwise-identical solutions and flop totals.
 func TestSessionWorkersDeterministic(t *testing.T) {
 	cases := []struct {
@@ -217,8 +216,7 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 			tr1, res1, ff1 := runSessionWithWorkers(t, 1, tc.o)
 			tr4, res4, ff4 := runSessionWithWorkers(t, 4, tc.o)
 			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
+				t.Fatal("obs exports diverge between 1 and 4 workers")
 			}
 			if ff1 != ff4 {
 				t.Fatalf("factor flops: %v vs %v", ff1, ff4)

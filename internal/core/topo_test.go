@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/vgrid"
 )
@@ -32,7 +31,7 @@ func topoTestSystem(t *testing.T) (a *sparse.CSR, b, xtrue []float64) {
 }
 
 // runClustered solves on the clustered two-site platform with full
-// observability and scheduler tracing, returning the per-rank "diff" sample
+// observability, returning the run print and the per-rank "diff" sample
 // values (the per-iteration successive-iterate criterion) alongside.
 func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[string][]float64) {
 	t.Helper()
@@ -42,10 +41,7 @@ func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[st
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
-	rec := &obs.Recorder{}
-	e.Observe(rec)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := observe(e)
 	pend, err := Launch(e, hosts, a, b, o)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +58,7 @@ func runClustered(t *testing.T, workers int, o Options) (*Result, string, map[st
 			iterates[sp.Track] = append(iterates[sp.Track], sp.V)
 		}
 	}
-	return pend.Result(), sb.String(), iterates
+	return pend.Result(), runPrint(t, e, rec, end), iterates
 }
 
 // TestGatewaySyncByteIdentical is the plan-equivalence contract: the
@@ -129,8 +125,8 @@ func TestTopoCollectivesByteIdentical(t *testing.T) {
 }
 
 // TestGatewayWorkersDeterministic: the gateway exchange must preserve the
-// engine's worker-count determinism contract — byte-identical scheduler
-// traces and results for 1 vs 4 workers, in every exchange mode.
+// engine's worker-count determinism contract — byte-identical obs exports,
+// commit counts and results for 1 vs 4 workers, in every exchange mode.
 func TestGatewayWorkersDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -145,8 +141,7 @@ func TestGatewayWorkersDeterministic(t *testing.T) {
 			r1, tr1, _ := runClustered(t, 1, tc.o)
 			r4, tr4, _ := runClustered(t, 4, tc.o)
 			if tr1 != tr4 {
-				d := firstDiffLine(tr1, tr4)
-				t.Fatalf("traces diverge (first differing line %d):\n1 worker:  %s\n4 workers: %s", d[0], d[1], d[2])
+				t.Fatal("obs exports diverge between 1 and 4 workers")
 			}
 			if r1.Iterations != r4.Iterations || r1.Time != r4.Time {
 				t.Fatalf("results diverge: %d/%v vs %d/%v", r1.Iterations, r1.Time, r4.Iterations, r4.Time)

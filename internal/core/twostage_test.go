@@ -213,7 +213,7 @@ func TestTwoStageValidation(t *testing.T) {
 // twoStageGridSolve runs the two-stage solver on a generated multi-cluster
 // platform with everything composed on top — gateway aggregation, two-level
 // collectives, the requested lane and worker counts — and returns the result
-// plus the full engine trace.
+// plus the run print.
 func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 900, Band: 12, PerRow: 7, Seed: 9})
@@ -230,8 +230,7 @@ func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	if workers > 0 {
 		e.SetWorkers(workers)
 	}
-	var trace strings.Builder
-	e.Trace = func(line string) { trace.WriteString(line); trace.WriteByte('\n') }
+	rec := observe(e)
 	pend, err := Launch(e, plt.Hosts, a, b, Options{
 		Tol: 1e-8, TopoCollectives: true, Gateway: true,
 		TwoStage: TwoStage{InnerIters: 4, PrecondBand: 4},
@@ -239,7 +238,8 @@ func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	end, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	pend.Finish()
@@ -247,11 +247,12 @@ func twoStageGridSolve(t *testing.T, lanes, workers int) (*Result, string) {
 	if !res.Converged {
 		t.Fatal("no convergence on synthetic grid")
 	}
-	return res, trace.String()
+	return res, runPrint(t, e, rec, end)
 }
 
 // TestTwoStageDeterministicAcrossLanesAndWorkers pins the determinism
-// contract for the two-stage mode: traces and iterates are byte-identical
+// contract for the two-stage mode: obs exports, commit counts and iterates
+// are byte-identical
 // whether the engine runs one lane or one lane per cluster, serial or on a
 // worker pool.
 func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
@@ -280,7 +281,7 @@ func TestTwoStageDeterministicAcrossLanesAndWorkers(t *testing.T) {
 				}
 			}
 			if gotTrace != refTrace {
-				t.Error("engine trace not byte-identical")
+				t.Error("obs export not byte-identical")
 			}
 		})
 	}

@@ -166,6 +166,9 @@ func ReadHB(r io.Reader) (*sparse.CSR, error) {
 	if nrow < 0 || ncol < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative HB dimension")
 	}
+	if (symType == 'S' || symType == 'Z') && nrow != ncol {
+		return nil, fmt.Errorf("mmio: HB %s matrix must be square, got %dx%d", mxtype, nrow, ncol)
+	}
 	// Header line 4: formats.
 	if !sc.Scan() {
 		return nil, fmt.Errorf("mmio: HB header truncated")

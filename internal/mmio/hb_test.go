@@ -145,6 +145,13 @@ RUA  2 2 2 0
 (6I5)           (6I5)           (3E20.12)
     1    2
 `,
+		"symmetric 1x2": `t                                                                       K
+ 2 1 1 0 0
+PSA  1 2 1 0
+(6I5)           (6I5)
+    1    1    2
+    1
+`,
 	}
 	for name, in := range cases {
 		if _, err := ReadHB(strings.NewReader(in)); err == nil {

@@ -90,6 +90,15 @@ func nextDataLine(sc *bufio.Scanner) (string, error) {
 	return "", io.ErrUnexpectedEOF
 }
 
+// checkSquare rejects symmetric and skew-symmetric storage of a non-square
+// matrix: the mirrored entries would fall outside it.
+func checkSquare(h Header, rows, cols int) error {
+	if h.Symmetry != "general" && rows != cols {
+		return fmt.Errorf("mmio: %s matrix must be square, got %dx%d", h.Symmetry, rows, cols)
+	}
+	return nil
+}
+
 func readCoordinate(sc *bufio.Scanner, h Header, sizeLine string) (*sparse.CSR, error) {
 	var rows, cols, nnz int
 	if _, err := fmt.Sscan(sizeLine, &rows, &cols, &nnz); err != nil {
@@ -97,6 +106,9 @@ func readCoordinate(sc *bufio.Scanner, h Header, sizeLine string) (*sparse.CSR, 
 	}
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("mmio: negative size in %q", sizeLine)
+	}
+	if err := checkSquare(h, rows, cols); err != nil {
+		return nil, err
 	}
 	co := sparse.NewCOO(rows, cols)
 	for k := 0; k < nnz; k++ {
@@ -150,6 +162,9 @@ func readArray(sc *bufio.Scanner, h Header, sizeLine string) (*sparse.CSR, error
 	}
 	if h.Field == "pattern" {
 		return nil, fmt.Errorf("mmio: pattern array format is invalid")
+	}
+	if err := checkSquare(h, rows, cols); err != nil {
+		return nil, err
 	}
 	co := sparse.NewCOO(rows, cols)
 	read := func(i, j int) error {

@@ -128,6 +128,8 @@ func TestReadErrors(t *testing.T) {
 		"bad row index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1\n",
 		"bad col index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1\n",
 		"bad array size": "%%MatrixMarket matrix array real general\nx y\n",
+		"symmetric 1x2":  "%%MatrixMarket matrix coordinate real symmetric\n1 2 1\n1 2 5\n",
+		"skew array 2x1": "%%MatrixMarket matrix array real skew-symmetric\n2 1\n0\n3\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrix(strings.NewReader(in)); err == nil {

@@ -2,8 +2,8 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,18 +13,18 @@ import (
 	"repro/internal/vgrid"
 )
 
-// observedSolve runs a small multisplitting solve on cluster1 with a recorder
-// attached and returns every observability export plus the engine's textual
-// trace and end time.
-func observedSolve(t *testing.T, workers int, async bool, attach bool) (exports [3][]byte, engineTrace string, rec *obs.Recorder, end float64) {
+// observedSolve runs a small multisplitting solve on cluster1, with a
+// recorder attached when attach is set, and returns every observability
+// export, the end time and a fingerprint of the simulation itself: the
+// per-process clocks and counters, the commit count and the bits of the
+// Result.
+func observedSolve(t *testing.T, workers int, async bool, attach bool) (exports [3][]byte, sim string, rec *obs.Recorder, end float64) {
 	t.Helper()
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 600, Band: 40, PerRow: 8, Margin: 0.05, Negative: true, Seed: 77})
 	b, _ := gen.RHSForSolution(a)
 	plt := cluster.Cluster1(4, -1)
 	e := vgrid.NewEngine(plt.Platform)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
 	if attach {
 		rec = &obs.Recorder{}
 		e.Observe(rec)
@@ -38,9 +38,12 @@ func observedSolve(t *testing.T, workers int, async bool, attach bool) (exports 
 		t.Fatal(err)
 	}
 	pend.Finish()
-	if !pend.Result().Converged {
+	res := pend.Result()
+	if !res.Converged {
 		t.Fatal("solve did not converge")
 	}
+	commits, _ := e.EventStats()
+	sim = fmt.Sprintf("end=%v commits=%d\nstats=%+v\nresult=%+v", end, commits, e.Stats(), *res)
 	if attach {
 		var trace, mj, mc bytes.Buffer
 		if err := obs.WriteTraceJSON(&trace, rec); err != nil {
@@ -55,7 +58,7 @@ func observedSolve(t *testing.T, workers int, async bool, attach bool) (exports 
 		}
 		exports = [3][]byte{trace.Bytes(), mj.Bytes(), mc.Bytes()}
 	}
-	return exports, sb.String(), rec, end
+	return exports, sim, rec, end
 }
 
 // TestObsDeterministicAcrossWorkers: with observability on, every export —
@@ -69,10 +72,10 @@ func TestObsDeterministicAcrossWorkers(t *testing.T) {
 			name = "async"
 		}
 		t.Run(name, func(t *testing.T) {
-			e1, tr1, _, _ := observedSolve(t, 1, async, true)
-			e4, tr4, _, _ := observedSolve(t, 4, async, true)
-			if tr1 != tr4 {
-				t.Fatal("engine traces diverge between worker counts")
+			e1, sim1, _, _ := observedSolve(t, 1, async, true)
+			e4, sim4, _, _ := observedSolve(t, 4, async, true)
+			if sim1 != sim4 {
+				t.Fatal("simulation diverges between worker counts")
 			}
 			labels := []string{"trace JSON", "metrics JSON", "metrics CSV"}
 			for i := range e1 {
@@ -103,13 +106,14 @@ func TestObsCriticalPathSumsToMakespan(t *testing.T) {
 }
 
 // TestObsOffLeavesSimulationUnchanged: attaching a recorder must not perturb
-// the simulation — the engine's textual trace (every scheduling decision and
-// virtual timestamp) is byte-identical with and without observability.
+// the simulation — the end time, every process's clock and counters, the
+// commit count and the bits of the Result are identical with and without
+// observability.
 func TestObsOffLeavesSimulationUnchanged(t *testing.T) {
-	_, trOff, _, endOff := observedSolve(t, 1, false, false)
-	_, trOn, _, endOn := observedSolve(t, 1, false, true)
-	if trOff != trOn {
-		t.Fatal("observability changed the engine trace")
+	_, simOff, _, endOff := observedSolve(t, 1, false, false)
+	_, simOn, _, endOn := observedSolve(t, 1, false, true)
+	if simOff != simOn {
+		t.Fatalf("observability changed the simulation:\noff: %.300s\non:  %.300s", simOff, simOn)
 	}
 	if endOff != endOn {
 		t.Fatalf("observability changed the end time: %g vs %g", endOff, endOn)

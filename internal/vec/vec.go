@@ -8,7 +8,6 @@ package vec
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Counter accumulates floating-point operation counts. The zero value is
@@ -19,8 +18,8 @@ import (
 // compute segment handed to the parallel vgrid scheduler (Proc.ComputeFunc)
 // counts into its owner's Counter, which is safe because the scheduler never
 // resumes the owning process until the segment has finished. Cross-process
-// totals are combined from the owners' final counts (or through Total) —
-// never by sharing a Counter between processes.
+// totals are combined from the owners' final counts — never by sharing a
+// Counter between processes.
 type Counter struct {
 	flops float64
 }
@@ -45,35 +44,6 @@ func (c *Counter) Reset() {
 	if c != nil {
 		c.flops = 0
 	}
-}
-
-// Total is a concurrency-safe flop accumulator: the single designated merge
-// point where per-process Counter totals are combined (e.g. into a solve
-// Result), even when process bodies or compute segments finish on different
-// OS threads. The zero value is ready to use. It must not be copied after
-// first use (go vet's copylocks check enforces this via the embedded
-// atomic.Uint64).
-type Total struct {
-	bits atomic.Uint64
-}
-
-// Merge atomically adds n flops to the total.
-func (t *Total) Merge(n float64) {
-	for {
-		old := t.bits.Load()
-		new_ := math.Float64bits(math.Float64frombits(old) + n)
-		if t.bits.CompareAndSwap(old, new_) {
-			return
-		}
-	}
-}
-
-// MergeCounter folds a finished process's Counter into the total.
-func (t *Total) MergeCounter(c *Counter) { t.Merge(c.Flops()) }
-
-// Value returns the accumulated total.
-func (t *Total) Value() float64 {
-	return math.Float64frombits(t.bits.Load())
 }
 
 // Zero sets every element of x to zero.

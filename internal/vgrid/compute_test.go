@@ -8,8 +8,8 @@ import (
 )
 
 // runComputeScenario spawns nproc processes that alternate declared compute
-// segments with barrier-free sends to their neighbor, records the trace and
-// returns it with the per-process side effects and the end time.
+// segments with virtual-time sleeps, with an obs recorder attached, and
+// returns the run print with the per-process side effects and the end time.
 func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (string, []float64, float64) {
 	t.Helper()
 	const nproc = 4
@@ -20,8 +20,7 @@ func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (strin
 	}
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := observe(e)
 
 	results := make([]float64, nproc)
 	for i := 0; i < nproc; i++ {
@@ -45,12 +44,12 @@ func runComputeScenario(t *testing.T, workers int, segWall time.Duration) (strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), results, end
+	return runPrint(t, e, rec, end), results, end
 }
 
 // TestComputeFuncDeterministic is the scheduler-level determinism check: the
-// trace, the side effects and the end time must be identical whether the
-// segments run inline (1 worker) or on a pool of 4.
+// obs export, the commit count, the side effects and the end time must be
+// identical whether the segments run inline (1 worker) or on a pool of 4.
 func TestComputeFuncDeterministic(t *testing.T) {
 	tr1, res1, end1 := runComputeScenario(t, 1, 0)
 	tr4, res4, end4 := runComputeScenario(t, 4, 0)

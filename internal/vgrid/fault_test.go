@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // faultTestPlatform builds two 3-host sites joined by a shared "wan" link.
@@ -33,9 +35,9 @@ func faultTestPlatform() (*Platform, []*Host) {
 }
 
 // runFaultScenario runs a cross-site message/compute workload under the given
-// fault plan and returns the full trace, the per-process receive counts and
-// the end time.
-func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int, float64) {
+// fault plan with an obs recorder attached and returns the run print, the
+// recorder, the per-process receive counts and the end time.
+func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, *obs.Recorder, []int, float64) {
 	t.Helper()
 	pl, hosts := faultTestPlatform()
 	e := NewEngine(pl)
@@ -43,8 +45,7 @@ func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int
 	if plan != nil {
 		e.SetFaultPlan(plan)
 	}
-	var sb strings.Builder
-	e.Trace = func(line string) { sb.WriteString(line); sb.WriteByte('\n') }
+	rec := observe(e)
 
 	const nproc = 6
 	received := make([]int, nproc)
@@ -74,7 +75,18 @@ func runFaultScenario(t *testing.T, workers int, plan *FaultPlan) (string, []int
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), received, end
+	return runPrint(t, e, rec, end), rec, received, end
+}
+
+// hasSpan reports whether the recorder holds a span of category cat on
+// track with the given name (any name when name is empty) and note.
+func hasSpan(rec *obs.Recorder, cat, track, name, note string) bool {
+	for _, s := range rec.Spans() {
+		if s.Cat == cat && s.Track == track && (name == "" || s.Name == name) && s.Note == note {
+			return true
+		}
+	}
+	return false
 }
 
 func fullFaultPlan() *FaultPlan {
@@ -87,11 +99,11 @@ func fullFaultPlan() *FaultPlan {
 
 // TestFaultPlanDeterministicAcrossWorkers extends the scheduler determinism
 // invariant to faulted runs: drops, outages and degradation windows charge
-// the virtual clock only, so the trace, the side effects and the end time
-// must be byte-identical for 1 and 4 workers.
+// the virtual clock only, so the obs export, the commit count, the side
+// effects and the end time must be byte-identical for 1 and 4 workers.
 func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
-	tr1, rc1, end1 := runFaultScenario(t, 1, fullFaultPlan())
-	tr4, rc4, end4 := runFaultScenario(t, 4, fullFaultPlan())
+	tr1, rec, rc1, end1 := runFaultScenario(t, 1, fullFaultPlan())
+	tr4, _, rc4, end4 := runFaultScenario(t, 4, fullFaultPlan())
 	if tr1 != tr4 {
 		t.Fatalf("faulted traces differ between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", tr1, tr4)
 	}
@@ -103,23 +115,23 @@ func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("proc %d receive count differs: %d vs %d", i, rc1[i], rc4[i])
 		}
 	}
-	if !strings.Contains(tr1, " drop ") || !strings.Contains(tr1, "reason=loss") {
-		t.Fatal("no drop events in the faulted trace")
+	if !hasSpan(rec, obs.CatNet, "net", "", "loss") {
+		t.Fatal("no dropped transfers in the faulted run")
 	}
-	if !strings.Contains(tr1, "s1-b crash") || !strings.Contains(tr1, "s1-b restart") {
-		t.Fatalf("crash/restart events missing from trace:\n%s", tr1)
+	if !hasSpan(rec, obs.CatMark, "s1-b", "crash", "") || !hasSpan(rec, obs.CatMark, "s1-b", "restart", "") {
+		t.Fatalf("crash/restart marks missing:\n%s", tr1)
 	}
-	if !strings.Contains(tr1, "s2-d degrade") || !strings.Contains(tr1, "s2-d recover") {
-		t.Fatalf("degrade/recover events missing from trace:\n%s", tr1)
+	if !hasSpan(rec, obs.CatMark, "s2-d", "degrade", "") || !hasSpan(rec, obs.CatMark, "s2-d", "recover", "") {
+		t.Fatalf("degrade/recover marks missing:\n%s", tr1)
 	}
 }
 
 // TestZeroFaultPlanIdenticalToNoPlan: installing an empty plan must not
-// perturb the schedule in any way — the trace is byte-identical to a run
-// with no plan at all.
+// perturb the schedule in any way — the run print is byte-identical to a
+// run with no plan at all.
 func TestZeroFaultPlanIdenticalToNoPlan(t *testing.T) {
-	trNone, rcNone, endNone := runFaultScenario(t, 2, nil)
-	trZero, rcZero, endZero := runFaultScenario(t, 2, NewFaultPlan(99))
+	trNone, _, rcNone, endNone := runFaultScenario(t, 2, nil)
+	trZero, _, rcZero, endZero := runFaultScenario(t, 2, NewFaultPlan(99))
 	if trNone != trZero {
 		t.Fatalf("zero-fault plan perturbed the trace:\n--- no plan ---\n%s--- zero plan ---\n%s", trNone, trZero)
 	}
@@ -134,7 +146,7 @@ func TestZeroFaultPlanIdenticalToNoPlan(t *testing.T) {
 }
 
 // TestDropOnLinkRate: with a 30% drop rule, the realized loss fraction over
-// many sends must be near 30%, and every send is either delivered or traced
+// many sends must be near 30%, and every send is either delivered or counted
 // as dropped.
 func TestDropOnLinkRate(t *testing.T) {
 	pl := NewPlatform()
@@ -143,12 +155,7 @@ func TestDropOnLinkRate(t *testing.T) {
 	pl.SetRoute(a, b, NewLink("lossy", 1e-5, 1e9))
 	e := NewEngine(pl)
 	e.SetFaultPlan(NewFaultPlan(3).DropOnLink("lossy", 0, math.Inf(1), 0.3))
-	drops := 0
-	e.Trace = func(line string) {
-		if strings.Contains(line, " drop ") {
-			drops++
-		}
-	}
+	rec := observe(e)
 	const total = 2000
 	delivered := 0
 	e.Spawn(a, "sender", func(p *Proc) error {
@@ -172,6 +179,12 @@ func TestDropOnLinkRate(t *testing.T) {
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	drops := 0
+	for _, s := range rec.Spans() {
+		if s.Cat == obs.CatNet && s.Note != "" {
+			drops++
+		}
 	}
 	if delivered+drops != total {
 		t.Fatalf("delivered %d + dropped %d != %d sent", delivered, drops, total)

@@ -1,11 +1,34 @@
 package vgrid
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// observe attaches a fresh obs recorder to the engine.
+func observe(e *Engine) *obs.Recorder {
+	rec := &obs.Recorder{}
+	e.Observe(rec)
+	return rec
+}
+
+// runPrint is what a deterministic run must reproduce byte for byte: the
+// recorder's Perfetto export, the final virtual time and the commit count.
+func runPrint(t *testing.T, e *Engine, rec *obs.Recorder, vt float64) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteTraceJSON(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	commits, _ := e.EventStats()
+	fmt.Fprintf(&buf, "vt=%v commits=%d\n", vt, commits)
+	return buf.String()
+}
 
 // randWorkload spawns nprocs processes on the platform's first hosts, each
 // executing a seeded pseudo-random mix of every scheduler-visible primitive:
@@ -46,10 +69,11 @@ func randWorkload(e *Engine, pl *Platform, nprocs, steps int, seed int64) {
 }
 
 // runRandScenario executes one fault-laden randomized scenario on a
-// synthetic grid and returns its trace and final virtual time. scan selects
-// the O(P) reference scheduler; crossCheck makes the indexed scheduler
-// verify every pick against the scan (panicking on the first divergence).
-func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers int) ([]string, float64) {
+// synthetic grid and returns its run print and final virtual time. scan
+// selects the O(P) reference scheduler; crossCheck makes the indexed
+// scheduler verify every pick against the scan (panicking on the first
+// divergence).
+func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers int) (string, float64) {
 	t.Helper()
 	const nprocs, steps = 20, 50
 	pl := Synthetic(nprocs, 4, 0.4, seed)
@@ -65,14 +89,16 @@ func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers in
 	fp.CrashHost("g3", 0.001, 0.02)
 	fp.CrashHost("g11", 0.005, 0.04)
 	e.SetFaultPlan(fp)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := observe(e)
 	randWorkload(e, pl, nprocs, steps, seed)
 	vt, err := e.Run()
 	if err != nil {
 		t.Fatalf("seed %d (scan=%v workers=%d): %v", seed, scan, workers, err)
 	}
-	return lines, vt
+	if rec.NumSpans() == 0 {
+		t.Fatalf("seed %d (scan=%v workers=%d): no spans recorded", seed, scan, workers)
+	}
+	return runPrint(t, e, rec, vt), vt
 }
 
 // TestSchedulerIndexMatchesScanUnderFaults is the scheduler-index property
@@ -81,37 +107,33 @@ func runRandScenario(t *testing.T, seed int64, scan, crossCheck bool, workers in
 // the identical event sequence as the pre-index O(P) scan. Each scenario
 // runs three ways — scan, indexed with per-pick cross-checking against the
 // scan, and indexed with a worker pool — and all three must produce
-// byte-identical traces.
+// byte-identical obs exports, virtual times and commit counts.
 func TestSchedulerIndexMatchesScanUnderFaults(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1030} {
 		ref, refVT := runRandScenario(t, seed, true, false, 0)
-		if len(ref) == 0 {
-			t.Fatalf("seed %d: scan scenario produced no trace", seed)
-		}
 		checked, vt := runRandScenario(t, seed, false, true, 0)
 		if vt != refVT {
 			t.Errorf("seed %d: virtual time diverged: indexed %g, scan %g", seed, vt, refVT)
 		}
-		if strings.Join(checked, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("seed %d: indexed trace differs from scan trace", seed)
+		if checked != ref {
+			t.Errorf("seed %d: indexed run differs from scan run", seed)
 		}
 		pooled, pvt := runRandScenario(t, seed, false, true, 3)
-		if pvt != refVT || strings.Join(pooled, "\n") != strings.Join(ref, "\n") {
+		if pvt != refVT || pooled != ref {
 			t.Errorf("seed %d: pooled indexed run diverged from scan (vt %g vs %g)", seed, pvt, refVT)
 		}
 	}
 }
 
 // syntheticGridTrace runs a ring workload with real (pooled) compute
-// segments on a 256-host synthetic grid and returns the trace.
-func syntheticGridTrace(t *testing.T, workers int) []string {
+// segments on a 256-host synthetic grid and returns the run print.
+func syntheticGridTrace(t *testing.T, workers int) string {
 	t.Helper()
 	const hosts, rounds = 256, 4
 	pl := Synthetic(hosts, 16, 0.3, 9)
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := observe(e)
 	procs := make([]*Proc, hosts)
 	for i := 0; i < hosts; i++ {
 		i := i
@@ -135,33 +157,35 @@ func syntheticGridTrace(t *testing.T, workers int) []string {
 			return nil
 		})
 	}
-	if _, err := e.Run(); err != nil {
+	vt, err := e.Run()
+	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	if len(lines) == 0 {
-		t.Fatalf("workers=%d: no trace recorded", workers)
+	if rec.NumSpans() == 0 {
+		t.Fatalf("workers=%d: no spans recorded", workers)
 	}
-	return lines
+	return runPrint(t, e, rec, vt)
 }
 
 // TestSyntheticTraceByteIdenticalAcrossWorkers pins the determinism contract
 // at generator scale: a 256-host synthetic grid running pooled compute
-// segments produces byte-identical traces for 1 and N worker threads.
+// segments produces byte-identical obs exports, virtual times and commit
+// counts for 1 and N worker threads.
 func TestSyntheticTraceByteIdenticalAcrossWorkers(t *testing.T) {
-	ref := strings.Join(syntheticGridTrace(t, 1), "\n")
+	ref := syntheticGridTrace(t, 1)
 	for _, workers := range []int{2, 4} {
-		got := strings.Join(syntheticGridTrace(t, workers), "\n")
-		if got != ref {
+		if got := syntheticGridTrace(t, workers); got != ref {
 			t.Errorf("trace for workers=%d differs from workers=1", workers)
 		}
 	}
 }
 
 // deferredLateTrace runs the deferred lower-bound scenario and returns its
-// trace: process A dispatches a deferred compute whose true cost (resolved
-// only when the worker finishes, well after the scheduler first considers
-// A's optimistic bound) lands far beyond process B's interleaved events.
-func deferredLateTrace(t *testing.T, workers int) []string {
+// run print and recorder: process A dispatches a deferred compute whose true
+// cost (resolved only when the worker finishes, well after the scheduler
+// first considers A's optimistic bound) lands far beyond process B's
+// interleaved events.
+func deferredLateTrace(t *testing.T, workers int) (string, *obs.Recorder) {
 	t.Helper()
 	pl := NewPlatform()
 	ha := pl.AddHost("ha", 1e6, 0)
@@ -173,8 +197,7 @@ func deferredLateTrace(t *testing.T, workers int) []string {
 	pl.SetRoute(ha, hb, l)
 	e := NewEngine(pl)
 	e.SetWorkers(workers)
-	var lines []string
-	e.Trace = func(line string) { lines = append(lines, line) }
+	rec := observe(e)
 	var c *Proc
 	a := e.Spawn(ha, "A", func(p *Proc) error {
 		// The optimistic next-event bound is the dispatch clock (t=0); the
@@ -203,37 +226,41 @@ func deferredLateTrace(t *testing.T, workers int) []string {
 		p.Recv(a.ID, 0)
 		return nil
 	})
-	if _, err := e.Run(); err != nil {
+	vt, err := e.Run()
+	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return lines
+	return runPrint(t, e, rec, vt), rec
 }
 
 // TestDeferredLowerBoundResolvesLate is the regression test for the deferred
 // lower-bound subtlety: when a pick lands on a deferred segment's optimistic
 // bound, the scheduler must collect the true cost and re-pick instead of
-// committing — B's five interleaved sends precede A's send in the trace, and
-// the trace is byte-identical with and without a worker pool.
+// committing — A sends at its true cost (t=0.005), after B's five
+// interleaved sends, and the run is byte-identical with and without a worker
+// pool.
 func TestDeferredLowerBoundResolvesLate(t *testing.T) {
-	ref := deferredLateTrace(t, 1)
-	got := deferredLateTrace(t, 2)
-	if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-		t.Fatalf("deferred trace differs between 1 and 2 workers:\n1: %s\n2: %s",
-			strings.Join(ref, "\n"), strings.Join(got, "\n"))
+	ref, _ := deferredLateTrace(t, 1)
+	got, rec := deferredLateTrace(t, 2)
+	if got != ref {
+		t.Fatalf("deferred run differs between 1 and 2 workers:\n1: %s\n2: %s", ref, got)
 	}
-	aSend, lastBSend := -1, -1
-	for i, line := range got {
-		switch {
-		case strings.Contains(line, " A send"):
-			aSend = i
-		case strings.Contains(line, " B send"):
-			lastBSend = i
+	aSend, lastBSend := -1.0, -1.0
+	for _, s := range rec.Spans() {
+		if s.Cat != obs.CatSend {
+			continue
+		}
+		switch s.Track {
+		case "A":
+			aSend = s.Start
+		case "B":
+			lastBSend = max(lastBSend, s.Start)
 		}
 	}
 	if aSend < 0 || lastBSend < 0 {
-		t.Fatalf("sends missing from trace: %v", got)
+		t.Fatalf("sends missing from the recorder:\n%s", got)
 	}
-	if aSend < lastBSend {
-		t.Errorf("deferred process committed at its optimistic bound: A's send (line %d) precedes B's last send (line %d)", aSend, lastBSend)
+	if math.Abs(aSend-0.005) > 1e-12 || aSend < lastBSend {
+		t.Errorf("deferred process committed at its optimistic bound: A sends at %g, B's last send at %g", aSend, lastBSend)
 	}
 }
