@@ -21,7 +21,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=2 -run 'TestObsDeterministicAcrossWorkers|TestWindowedMetricsDeterministic|TestStreamedTraceByteIdentical' ./internal/obs
-	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestModeMatrix|TestResultFoldAcrossLanes' ./internal/core
+	$(GO) test -race -count=2 -run 'TestGatewaySyncByteIdentical|TestGatewayWorkersDeterministic|TestTwoStageDeterministicAcrossLanesAndWorkers|TestAdaptiveDeterministicAcrossLanesAndWorkers|TestModeMatrix|TestResultFoldAcrossLanes|TestSessionWorkersDeterministic' ./internal/core
 	$(GO) test -race -count=2 -run 'TestSchedulerIndexMatchesScanUnderFaults|TestSyntheticTraceByteIdenticalAcrossWorkers|TestDeferredLowerBoundResolvesLate|TestShardedMatchesSingleLaneUnderFaults' ./internal/vgrid
 
 vet:
@@ -116,6 +116,6 @@ bench-diff-fixture:
 # observability layer, the messaging/context plumbing or the platform layer
 # that lacks a doc comment.
 lint-docs:
-	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt cmd/msprof cmd/benchjson
+	$(GO) run ./cmd/lintdocs internal/vgrid internal/core internal/obs internal/mp internal/simctx internal/plan internal/cluster internal/iterative internal/splu internal/adapt internal/nonlinear internal/dslu internal/detect internal/mmio internal/gen internal/order internal/vec cmd/msprof cmd/benchjson
 
 verify: build vet lint-docs test race bench-json-smoke bench-eventcore-smoke bench-eventshard-smoke bench-twostage-smoke bench-obs-smoke bench-adapt-smoke bench-diff-fixture

@@ -303,25 +303,22 @@ func phaseBreakdown(rec *obs.Recorder) (factor, refactor, bytesMoved, waitShare 
 func BenchmarkSolverPhases(b *testing.B) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 4000, Band: 12, PerRow: 5, Margin: 0.1, Negative: true, Seed: 22})
 	rhs, _ := gen.RHSForSolution(a)
-	newPlat := func() (*vgrid.Platform, []*vgrid.Host) {
-		plt := repro.Cluster1(4, repro.MemUnlimited)
-		return plt.Platform, plt.Hosts
-	}
 	v := make([]float64, a.NNZ())
 	copy(v, a.Val)
 	var factor, refactor, bytesMoved, waitShare float64
 	for i := 0; i < b.N; i++ {
-		sess, err := core.NewSession(newPlat, a, core.Options{Tol: 1e-8, Overlap: 10})
+		sess, err := core.NewSession(a, core.Options{Tol: 1e-8, Overlap: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
 		rec := &obs.Recorder{}
-		sess.Obs = rec
-		if _, err := sess.Resolve(nil, rhs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Resolve(v, rhs); err != nil {
-			b.Fatal(err)
+		for _, vals := range [][]float64{nil, v} {
+			plt := repro.Cluster1(4, repro.MemUnlimited)
+			e := vgrid.NewEngine(plt.Platform)
+			e.Observe(rec)
+			if _, err := sess.Resolve(e, plt.Hosts, vals, rhs); err != nil {
+				b.Fatal(err)
+			}
 		}
 		factor, refactor, bytesMoved, waitShare = phaseBreakdown(rec)
 	}

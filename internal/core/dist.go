@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/mp"
+	"repro/internal/plan"
 	"repro/internal/simctx"
 	"repro/internal/sparse"
 	"repro/internal/splu"
@@ -209,10 +210,11 @@ func (o *Options) withDefaults() Options {
 }
 
 // validate rejects the option combinations the solver cannot honor (call it
-// after withDefaults). It is the one place option checks live: Launch and
-// the persistent Session both call it. nHosts is the rank count, or 0 while
-// unknown (a Session learns it at the first Resolve); session adds the
-// restrictions of the persistent solver state.
+// after withDefaults). It is the one place option checks live: prepare runs
+// it for Launch and for a session's first Resolve, and NewSession runs it
+// early. nHosts is the rank count, or 0 while unknown (a Session learns it
+// at the first Resolve); session adds the restrictions of the persistent
+// solver state.
 func (o *Options) validate(nHosts int, session bool) error {
 	if err := o.TwoStage.validate(); err != nil {
 		return err
@@ -232,8 +234,6 @@ func (o *Options) validate(nHosts int, session bool) error {
 	switch {
 	case o.BandsPerProc > 1:
 		return errors.New("core: sessions do not support BandsPerProc > 1")
-	case o.Balance:
-		return errors.New("core: sessions do not support Balance")
 	case o.Equilibrate:
 		return errors.New("core: sessions do not support Equilibrate")
 	case o.Gateway:
@@ -435,13 +435,24 @@ func (p *Pending) finishRank(c *mp.Comm, ctx *simctx.Ctx, rec rankRecord) {
 	p.ranks[c.Rank()] = rec
 }
 
-// Launch registers the multisplitting solver on the engine, one rank per
-// host owning BandsPerProc bands (one band per processor is the simple
-// variant of Section 2; see paper Remark 2). The matrix and right-hand side
-// are globally readable at load time, as the paper's Initialization step
-// allows. Call engine.Run, then read Pending.Result.
-func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
-	o := opt.withDefaults()
+// job is a prepared solve: the defaulted options, the system the ranks read
+// (equilibrated when asked), its decomposition and the shared communication
+// plan. Launch prepares one per solve; a Session prepares one at its first
+// Resolve and keeps it, so every later Resolve runs on the same bands.
+type job struct {
+	o  Options
+	a  *sparse.CSR
+	b  []float64
+	d  *Decomposition
+	cp *plan.Plan
+}
+
+// prepare is the setup shared by Launch and a session's first Resolve: it
+// validates the options, equilibrates the system when asked, checks the
+// cluster declarations the topology-aware modes need, and builds the
+// decomposition (speed-balanced under Balance) and the communication plan.
+// o must already carry its defaults.
+func prepare(pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, o Options, session bool) (*job, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		return nil, fmt.Errorf("core: shape mismatch: A is %dx%d, len(b)=%d", a.Rows, a.Cols, len(b))
@@ -449,7 +460,7 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	if len(hosts) == 0 {
 		return nil, errors.New("core: no hosts")
 	}
-	if err := o.validate(len(hosts), false); err != nil {
+	if err := o.validate(len(hosts), session); err != nil {
 		return nil, err
 	}
 	var err error
@@ -460,7 +471,7 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 		}
 	}
 	if o.Gateway || o.TopoCollectives {
-		if err := e.Platform.ValidateTopology(); err != nil {
+		if err := pl.ValidateTopology(); err != nil {
 			return nil, fmt.Errorf("core: topology-aware mode: %w", err)
 		}
 	}
@@ -492,11 +503,49 @@ func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, op
 	if err != nil {
 		return nil, err
 	}
+	return &job{o: o, a: a, b: b, d: d, cp: cp}, nil
+}
+
+// launch registers one msRank process per host. s is the session whose
+// persistent rank state the ranks build or refresh (nil for a one-shot
+// solve); refresh reports that the matrix values changed since its last
+// Resolve.
+func (j *job) launch(e *vgrid.Engine, hosts []*vgrid.Host, s *Session, refresh bool) *Pending {
 	pend := newPending(len(hosts))
 	pend.procs = mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
-		return msRank(c, a, b, d, cp, o, pend)
+		return msRank(c, j, s, refresh, pend)
 	})
-	return pend, nil
+	return pend
+}
+
+// run runs the engine and folds the rank records into the Result: the one
+// run-and-fold of Solve and Session.Resolve. ErrNoConvergence is reported
+// with the partial result attached.
+func (p *Pending) run(e *vgrid.Engine) (*Result, error) {
+	end, err := e.Run()
+	p.res.Time = end
+	p.done = true
+	res := p.Result()
+	if err != nil {
+		return res, err
+	}
+	if !res.Converged {
+		return res, ErrNoConvergence
+	}
+	return res, nil
+}
+
+// Launch registers the multisplitting solver on the engine, one rank per
+// host owning BandsPerProc bands (one band per processor is the simple
+// variant of Section 2; see paper Remark 2). The matrix and right-hand side
+// are globally readable at load time, as the paper's Initialization step
+// allows. Call engine.Run, then read Pending.Result.
+func Launch(e *vgrid.Engine, hosts []*vgrid.Host, a *sparse.CSR, b []float64, opt Options) (*Pending, error) {
+	j, err := prepare(e.Platform, hosts, a, b, opt.withDefaults(), false)
+	if err != nil {
+		return nil, err
+	}
+	return j.launch(e, hosts, nil, false), nil
 }
 
 // Solve builds an engine over the platform, runs the solver on the given
@@ -508,17 +557,7 @@ func Solve(pl *vgrid.Platform, hosts []*vgrid.Host, a *sparse.CSR, b []float64, 
 	if err != nil {
 		return nil, err
 	}
-	end, err := e.Run()
-	pend.res.Time = end
-	pend.done = true
-	res := pend.Result()
-	if err != nil {
-		return res, err
-	}
-	if !res.Converged {
-		return res, ErrNoConvergence
-	}
-	return res, nil
+	return pend.run(e)
 }
 
 func csrBytes(m *sparse.CSR) int64 {

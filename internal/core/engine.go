@@ -518,8 +518,10 @@ func (st *rankState) ship() error {
 // — iterate, ship, exchange — over the rank's owned bands, parameterized by
 // the exchange policy (synchronous barrier, asynchronous freshest-drain, or
 // bounded staleness) and the stopping criterion (successive iterate or true
-// residual).
-func msRank(c *mp.Comm, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *plan.Plan, o Options, pend *Pending) error {
+// residual). A one-shot solve and a session's first Resolve build the rank
+// state; later Resolves refresh the state the session keeps (s != nil).
+func msRank(c *mp.Comm, j *job, s *Session, refresh bool, pend *Pending) error {
+	o := j.o
 	c.Tree = o.TreeCollectives
 	c.Topo = o.TopoCollectives
 	ctx := simctx.New()
@@ -530,16 +532,27 @@ func msRank(c *mp.Comm, a *sparse.CSR, bGlob []float64, d *Decomposition, cp *pl
 	c.AttachCtx(ctx)
 	applyFaultOptions(c, o)
 
-	st, factTime, err := newRankState(c, ctx, a, bGlob, d, cp, o)
+	rank := c.Rank()
+	if s != nil && s.ranks[rank] != nil {
+		sr := s.ranks[rank]
+		factTime, err := s.refreshRank(sr, c, ctx, j.b, refresh)
+		if err != nil {
+			return err
+		}
+		return msRankRun(sr.st, pend, factTime)
+	}
+	st, factTime, err := newRankState(c, ctx, j.a, j.b, j.d, j.cp, o)
 	if err != nil {
 		return err
+	}
+	if s != nil {
+		s.ranks[rank] = &sessionRank{st: st, gen: -1}
 	}
 	return msRankRun(st, pend, factTime)
 }
 
-// msRankRun drives an initialized rank state through the engine loop and the
-// final gather. It is shared by the one-shot driver (msRank) and the
-// persistent Session, which rebuilds only the numeric state between calls.
+// msRankRun drives an initialized rank state — fresh, or refreshed by a
+// session — through the engine loop and the final gather.
 func msRankRun(st *rankState, pend *Pending, factTime float64) error {
 	c, o := st.c, st.o
 

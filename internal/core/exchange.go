@@ -181,15 +181,6 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			st.freshSeen[i] = false
 		}
 	}
-	localOK := st.stableRuns >= st.o.Smooth
-	if localOK {
-		for gi := range st.rp.Recv {
-			if st.echoFrom[gi] < float64(st.stableStart) {
-				localOK = false
-				break
-			}
-		}
-	}
 	if st.o.FaultTolerant {
 		if now := st.c.Now(); now-ap.lastRefresh >= st.o.DeadRankTimeout {
 			ap.lastRefresh = now
@@ -201,7 +192,7 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 			ap.det.Refresh()
 		}
 	}
-	stopNow, err := ap.det.Step(localOK)
+	stopNow, err := ap.det.Step(st.locallyConverged())
 	if err != nil {
 		return 0, err
 	}
@@ -213,6 +204,21 @@ func (ap *asyncPolicy) finish(st *rankState, stop stopper) (outcome, error) {
 		return outAborted, nil
 	}
 	return outContinue, nil
+}
+
+// locallyConverged is the local state a rank reports to the detector: the
+// criterion held for Smooth complete rounds, and every contributor has
+// echoed back data at least as new as the start of that streak.
+func (st *rankState) locallyConverged() bool {
+	if st.stableRuns < st.o.Smooth {
+		return false
+	}
+	for gi := range st.rp.Recv {
+		if st.echoFrom[gi] < float64(st.stableStart) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundedStalePolicy is asyncPolicy with a partial-synchronism guarantee: if
@@ -347,7 +353,9 @@ func (bp *boundedStalePolicy) waitForStale(st *rankState) (outcome, error) {
 			st.c.Proc().Sleep(pollInterval)
 			waited += pollInterval
 			if bp.det != nil {
-				stopNow, err := bp.det.Step(false)
+				// Poll with the last evaluated local state: withdrawing it
+				// on every poll starves detection when ranks wait often.
+				stopNow, err := bp.det.Step(st.locallyConverged())
 				if err != nil {
 					return 0, err
 				}

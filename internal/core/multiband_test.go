@@ -8,7 +8,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/splu"
 	"repro/internal/vec"
-	"repro/internal/vgrid"
 )
 
 func TestMultibandSyncMatchesSequential(t *testing.T) {
@@ -98,8 +97,7 @@ func TestMultibandIncompatibleOptions(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Adapt is incompatible with BandsPerProc > 1") {
 		t.Fatalf("adapt: err = %v", err)
 	}
-	_, err = NewSession(func() (*vgrid.Platform, []*vgrid.Host) { return lanPlatform(2, 0) },
-		a, Options{BandsPerProc: 2})
+	_, err = NewSession(a, Options{BandsPerProc: 2})
 	if err == nil || !strings.Contains(err.Error(), "sessions do not support BandsPerProc > 1") {
 		t.Fatalf("session: err = %v", err)
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/splu"
+	"repro/internal/vec"
 )
 
 func TestAsyncBoundedStaleness(t *testing.T) {
@@ -97,4 +100,33 @@ func TestAsyncResidualStopping(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSolution(t, res, xtrue, 1e-6)
+}
+
+// TestBoundedStalenessSmallSystem: on a small system where the ranks wait
+// in most iterations, tight staleness bounds must still detect convergence.
+// A waiting rank reports the local state it last evaluated to the detector;
+// reporting "not converged" on every poll withdrew the evidence forever.
+func TestBoundedStalenessSmallSystem(t *testing.T) {
+	a := gen.Tridiag(40, -1, 4, -1)
+	b := make([]float64, 40)
+	for i := range b {
+		b[i] = 1 + float64(i%3)
+	}
+	d, err := NewDecomposition(a.Rows, 2, 0, WeightOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c vec.Counter
+	ref, err := SolveSequential(a, b, d, &splu.SparseLU{}, 1e-12, 10000, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for maxStale := 1; maxStale <= 3; maxStale++ {
+		pl, hosts := lanPlatform(2, 0)
+		res, err := Solve(pl, hosts, a, b, Options{Tol: 1e-10, Async: true, MaxStale: maxStale, MaxIter: 20000})
+		if err != nil {
+			t.Fatalf("MaxStale %d: %v", maxStale, err)
+		}
+		checkClose(t, res.X, ref.X, 1e-8, fmt.Sprintf("MaxStale %d", maxStale))
+	}
 }

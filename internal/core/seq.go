@@ -26,6 +26,9 @@ type SeqResult struct {
 	Iterations int
 	// Diff is the final successive-iterate difference (∞-norm).
 	Diff float64
+	// FactorFlops is the arithmetic this solve spent factoring (or, in a
+	// session's later Resolves, refactorizing) the bands.
+	FactorFlops float64
 }
 
 // bandSystem is the per-band precomputed subsystem: the factored ASub, the
@@ -95,10 +98,12 @@ func SolveSequential(a *sparse.CSR, b []float64, d *Decomposition, solver splu.D
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	factFlops := c.Flops()
 	systems, err := buildBandSystems(a, b, d, solver, c)
 	if err != nil {
 		return nil, err
 	}
+	factFlops = c.Flops() - factFlops
 	// xb[l] is band l's current iterate over [Lo,Hi); initial guess zero.
 	xb := make([][]float64, d.L())
 	newXb := make([][]float64, d.L())
@@ -133,10 +138,10 @@ func SolveSequential(a *sparse.CSR, b []float64, d *Decomposition, solver splu.D
 			xb[l], newXb[l] = newXb[l], xb[l]
 		}
 		if diff <= tol {
-			return &SeqResult{X: assemble(d, systems, xb), Iterations: iter, Diff: diff}, nil
+			return &SeqResult{X: assemble(d, systems, xb), Iterations: iter, Diff: diff, FactorFlops: factFlops}, nil
 		}
 	}
-	return &SeqResult{X: assemble(d, systems, xb), Iterations: maxIter, Diff: diff}, ErrNoConvergence
+	return &SeqResult{X: assemble(d, systems, xb), Iterations: maxIter, Diff: diff, FactorFlops: factFlops}, ErrNoConvergence
 }
 
 // assemble combines the band iterates into the global solution using the

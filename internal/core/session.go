@@ -15,7 +15,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/mp"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/simctx"
 	"repro/internal/sparse"
 	"repro/internal/splu"
@@ -55,9 +54,6 @@ type SeqSession struct {
 	res       SeqResult // returned by Resolve; owned by the session
 	factored  bool
 
-	// FactorFlops accumulates the flops spent factoring and refactorizing
-	// across all Resolves (the quantity the refactorization economy shrinks).
-	FactorFlops float64
 	// InnerSweeps accumulates the two-stage inner sweeps across Resolves
 	// (zero in exact mode).
 	InnerSweeps int64
@@ -132,14 +128,8 @@ func NewSeqSession(a *sparse.CSR, d *Decomposition, solver splu.Direct) (*SeqSes
 // Resolve overwrites; callers that keep it across calls must copy it.
 func (s *SeqSession) Resolve(newVals, b []float64, tol float64, maxIter int, c *vec.Counter) (*SeqResult, error) {
 	d := s.d
-	if len(b) != d.N {
-		return nil, fmt.Errorf("core: session rhs length %d, want %d", len(b), d.N)
-	}
-	if newVals != nil {
-		if len(newVals) != s.a.NNZ() {
-			return nil, fmt.Errorf("core: session got %d values for a pattern with %d", len(newVals), s.a.NNZ())
-		}
-		copy(s.a.Val, newVals)
+	if err := setValues(s.a, newVals, b); err != nil {
+		return nil, err
 	}
 
 	// First Resolve of a two-stage session: validate the configuration and
@@ -222,7 +212,7 @@ func (s *SeqSession) Resolve(newVals, b []float64, tol float64, maxIter int, c *
 		copy(bs.bSub, b[bs.band.Lo:bs.band.Hi])
 	}
 	s.factored = true
-	s.FactorFlops += c.Flops() - factStart
+	factFlops := c.Flops() - factStart
 
 	// Iteration phase: the same fixed-point sweep as SolveSequential, but on
 	// persistent buffers — the steady-state loop performs no allocation.
@@ -264,12 +254,25 @@ func (s *SeqSession) Resolve(newVals, b []float64, tol float64, maxIter int, c *
 			s.xb[l], s.newXb[l] = s.newXb[l], s.xb[l]
 		}
 		if diff <= tol {
-			s.res = SeqResult{X: s.assembleInto(), Iterations: iter, Diff: diff}
+			s.res = SeqResult{X: s.assembleInto(), Iterations: iter, Diff: diff, FactorFlops: factFlops}
 			return &s.res, nil
 		}
 	}
-	s.res = SeqResult{X: s.assembleInto(), Iterations: maxIter, Diff: diff}
+	s.res = SeqResult{X: s.assembleInto(), Iterations: maxIter, Diff: diff, FactorFlops: factFlops}
 	return &s.res, ErrNoConvergence
+}
+
+// setValues checks a session Resolve's inputs against the pattern template a
+// and writes newVals (nil keeps the previous values) into it.
+func setValues(a *sparse.CSR, newVals, b []float64) error {
+	if len(b) != a.Rows {
+		return fmt.Errorf("core: session rhs length %d, want %d", len(b), a.Rows)
+	}
+	if newVals != nil && len(newVals) != a.NNZ() {
+		return fmt.Errorf("core: session got %d values for a pattern with %d", len(newVals), a.NNZ())
+	}
+	copy(a.Val, newVals)
+	return nil
 }
 
 // innerSolve runs band l's scheduled inner sweeps (two-stage mode), falling
@@ -329,43 +332,33 @@ func (s *SeqSession) Fallbacks() int {
 
 // Session is the distributed counterpart of SeqSession: a persistent
 // multisplitting solver over the simulated grid. Engines cannot be re-run, so
-// every Resolve builds a fresh platform and engine from the supplied factory;
-// what persists is each rank's solver state — submatrices, dependency-column
-// selection, communication plan, buffers and factorization. Later Resolves
-// refresh the numeric values through frozen position maps and refactorize as
-// a declared compute segment: the refactor cost is known exactly after the
-// symbolic phase (splu.Refactorer.RefactorFlops), so it schedules like any
-// other declared segment and overlaps across ranks on the worker pool,
-// instead of the measured lower-bound scheduling a deferred factorization
-// needs.
+// every Resolve runs on an engine the caller built — workers, lanes, the obs
+// recorder and fault plans are set on it exactly as for Launch. What persists
+// is the setup of the first Resolve (decomposition and communication plan)
+// and each rank's solver state — submatrices, dependency-column selection,
+// buffers and factorization. Later Resolves refresh the numeric values
+// through frozen position maps and refactorize as a declared compute
+// segment: the refactor cost is known exactly after the symbolic phase
+// (splu.Refactorer.RefactorFlops), so it schedules like any other declared
+// segment and overlaps across ranks on the worker pool, instead of the
+// measured lower-bound scheduling a deferred factorization needs.
 type Session struct {
-	// Workers sets the engine worker-thread count for every Resolve
-	// (0 = serial). The virtual result is identical for every setting.
-	Workers int
 	// NoRefactor forces a full factorization on every Resolve (per-step
 	// Factor baseline, for ablation).
 	NoRefactor bool
-	// Obs, when set, is attached to every Resolve's engine; spans of
-	// successive Resolves accumulate (each on its own virtual timeline
-	// starting at zero).
-	Obs *obs.Recorder
-	// FactorFlops accumulates factorization + refactorization flops across
-	// all Resolves and ranks.
-	FactorFlops float64
 
-	newPlatform func() (*vgrid.Platform, []*vgrid.Host)
-	a           *sparse.CSR
-	o           Options
-	d           *Decomposition
-	cp          *plan.Plan
-	ranks       []*sessionRank
+	// j holds the options and the pattern template whose values Resolve
+	// refreshes; the first Resolve completes it with the decomposition and
+	// communication plan (prepare) and sizes ranks.
+	j     *job
+	ranks []*sessionRank
 }
 
 // sessionRank is the state of one rank that survives across Resolves,
-// together with the frozen maps refreshing its extracted values. gen mirrors
-// the rank state's resplit generation: when an adaptive Resolve resplit the
-// decomposition mid-run, the maps were built for a band that no longer
-// exists and must be re-derived before the next refresh.
+// together with the frozen maps refreshing its extracted values. gen is the
+// rank state's resplit generation the maps were derived for (-1: not yet):
+// when an adaptive Resolve resplit the decomposition mid-run, the maps were
+// built for a band that no longer exists and must be re-derived.
 type sessionRank struct {
 	st     *rankState
 	subMap []int
@@ -374,10 +367,10 @@ type sessionRank struct {
 }
 
 // NewSession prepares a persistent distributed session for the pattern of a.
-// The decomposition is fixed by the first Resolve's host count; options that
-// reshape the decomposition per solve (Balance) or rewrite the matrix
-// (Equilibrate) or multiplex bands (BandsPerProc > 1) are rejected.
-func NewSession(newPlatform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.CSR, opt Options) (*Session, error) {
+// The decomposition is fixed by the first Resolve's hosts (sized by their
+// speeds under Balance); options that rewrite the matrix (Equilibrate),
+// multiplex bands (BandsPerProc > 1) or route through gateways are rejected.
+func NewSession(a *sparse.CSR, opt Options) (*Session, error) {
 	o := opt.withDefaults()
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("core: session needs a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -385,135 +378,48 @@ func NewSession(newPlatform func() (*vgrid.Platform, []*vgrid.Host), a *sparse.C
 	if err := o.validate(0, true); err != nil {
 		return nil, err
 	}
-	if newPlatform == nil {
-		return nil, errors.New("core: session needs a platform factory")
-	}
-	return &Session{newPlatform: newPlatform, a: a.Clone(), o: o}, nil
+	return &Session{j: &job{o: o, a: a.Clone()}}, nil
 }
 
 // Resolve solves the system with matrix values newVals (ordered like the
 // template's Val array; nil keeps the previous values) and right-hand side b
-// on a fresh engine, reusing every rank's persistent state.
-func (s *Session) Resolve(newVals, b []float64) (*Result, error) {
-	if len(b) != s.a.Rows {
-		return nil, fmt.Errorf("core: session rhs length %d, want %d", len(b), s.a.Rows)
+// on the engine e, which the caller built and has not run, reusing every
+// rank's persistent state. The first Resolve fixes the hosts' count.
+func (s *Session) Resolve(e *vgrid.Engine, hosts []*vgrid.Host, newVals, b []float64) (*Result, error) {
+	if err := setValues(s.j.a, newVals, b); err != nil {
+		return nil, err
 	}
-	if newVals != nil {
-		if len(newVals) != s.a.NNZ() {
-			return nil, fmt.Errorf("core: session got %d values for a pattern with %d", len(newVals), s.a.NNZ())
-		}
-		copy(s.a.Val, newVals)
-	}
-	pl, hosts := s.newPlatform()
-	if s.d == nil {
-		if len(hosts) == 0 {
-			return nil, errors.New("core: no hosts")
-		}
-		if err := s.o.validate(len(hosts), true); err != nil {
-			return nil, err
-		}
-		d, err := NewDecomposition(s.a.Rows, len(hosts), s.o.Overlap, s.o.Scheme)
+	if s.ranks == nil {
+		j, err := prepare(e.Platform, hosts, s.j.a, b, s.j.o, true)
 		if err != nil {
 			return nil, err
 		}
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
-		cp, err := buildCommPlan(s.a, d, len(hosts))
-		if err != nil {
-			return nil, err
-		}
-		s.d = d
-		s.cp = cp
-		s.ranks = make([]*sessionRank, len(hosts))
+		s.j, s.ranks = j, make([]*sessionRank, len(hosts))
 	} else if len(hosts) != len(s.ranks) {
-		return nil, fmt.Errorf("core: session built for %d hosts, factory produced %d", len(s.ranks), len(hosts))
+		return nil, fmt.Errorf("core: session built for %d hosts, got %d", len(s.ranks), len(hosts))
 	}
-
-	e := vgrid.NewEngine(pl)
-	if s.Workers > 0 {
-		e.SetWorkers(s.Workers)
-	}
-	if s.Obs != nil {
-		e.Observe(s.Obs)
-	}
-	pend := newPending(len(hosts))
-	refresh := newVals != nil
-	mp.Launch(e, hosts, "ms", func(c *mp.Comm) error {
-		return s.rankBody(c, b, refresh, pend)
-	})
-	end, err := e.Run()
-	pend.res.Time = end
-	pend.done = true
-	res := pend.Result()
-	if err != nil {
-		return res, err
-	}
-	if !res.Converged {
-		return res, ErrNoConvergence
-	}
-	return res, nil
-}
-
-// rankBody is the per-Resolve process body: first call builds the rank state
-// (full factorization), later calls rebind the fresh comm/ctx, refresh the
-// numeric values and refactorize. Rank bodies are serialized by the engine,
-// so the writes into s.ranks and s.FactorFlops need no synchronization.
-func (s *Session) rankBody(c *mp.Comm, bGlob []float64, refresh bool, pend *Pending) error {
-	c.Tree = s.o.TreeCollectives
-	c.Topo = s.o.TopoCollectives
-	ctx := simctx.New()
-	ctx.Obs = obs.NewScope(c.Proc().Obs(), c.Proc().Name)
-	if s.o.TrackMemory {
-		ctx.Mem = c.Proc()
-	}
-	c.AttachCtx(ctx)
-	applyFaultOptions(c, s.o)
-
-	rank := c.Rank()
-	sr := s.ranks[rank]
-	var factTime float64
-	factFlops := ctx.Counter.Flops()
-	if sr == nil {
-		st, ft, err := newRankState(c, ctx, s.a, bGlob, s.d, s.cp, s.o)
-		if err != nil {
-			return err
-		}
-		b := st.bands[0]
-		sr = &sessionRank{
-			st:     st,
-			subMap: s.a.SubmatrixMap(b.band.Lo, b.band.Hi, b.band.Lo, b.band.Hi),
-			depMap: s.a.SelectColumnsMap(b.band.Lo, b.band.Hi, b.depCols),
-		}
-		s.ranks[rank] = sr
-		factTime = ft
-	} else {
-		ft, err := s.refreshRank(sr, c, ctx, bGlob, refresh)
-		if err != nil {
-			return err
-		}
-		factTime = ft
-	}
-	s.FactorFlops += ctx.Counter.Flops() - factFlops
-	return msRankRun(sr.st, pend, factTime)
+	s.j.b = b
+	return s.j.launch(e, hosts, s, newVals != nil).run(e)
 }
 
 // refreshRank rebinds a persistent rank to a fresh engine run, refreshes its
-// numeric values through the frozen maps and refactorizes. Sessions run one
-// band per rank (validate rejects BandsPerProc > 1).
+// numeric values through the frozen maps and refactorizes. It returns the
+// refresh time; st.factFlops ends up holding the refresh's arithmetic (zero
+// when the values did not change). Sessions run one band per rank (validate
+// rejects BandsPerProc > 1).
 func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlob []float64, refresh bool) (float64, error) {
 	st := sr.st
-	st.c, st.ctx = c, ctx
+	st.c, st.ctx, st.bGlob = c, ctx, bGlob
 	b := st.bands[0]
 	band := b.band
 
-	// A resplit during the previous Resolve moved the band: re-derive the
-	// frozen value-refresh maps for the current range. The factorization
-	// already matches the new band (the transition factored it), so the
-	// ordinary refactor path below stays valid.
+	// Derive the frozen value-refresh maps on the first refresh, and again
+	// after a resplit during the previous Resolve moved the band. The
+	// factorization already matches the current band (the transition
+	// factored it), so the ordinary refactor path below stays valid.
 	if sr.gen != st.gen {
-		sr.subMap = s.a.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi)
-		sr.depMap = s.a.SelectColumnsMap(band.Lo, band.Hi, b.depCols)
+		sr.subMap = st.aGlob.SubmatrixMap(band.Lo, band.Hi, band.Lo, band.Hi)
+		sr.depMap = st.aGlob.SelectColumnsMap(band.Lo, band.Hi, b.depCols)
 		sr.gen = st.gen
 	}
 
@@ -540,6 +446,7 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 	twoStage := b.ts != nil && !b.ts.fellBack
 	if twoStage {
 		b.ts.sched = newInnerSchedule(b.ts.opt)
+		b.ts.growth = 0
 	}
 	if err := ctx.Alloc(b.footprint()); err != nil {
 		return 0, err
@@ -548,60 +455,52 @@ func (s *Session) refreshRank(sr *sessionRank, c *mp.Comm, ctx *simctx.Ctx, bGlo
 		return 0, nil
 	}
 	for k, p := range sr.subMap {
-		b.sub.Val[k] = s.a.Val[p]
+		b.sub.Val[k] = st.aGlob.Val[p]
 	}
 	for k, p := range sr.depMap {
-		b.depMat.Val[k] = s.a.Val[p]
+		b.depMat.Val[k] = st.aGlob.Val[p]
 	}
 
 	factStart := c.Now()
-	refactFlops0 := ctx.Counter.Flops()
-	if twoStage {
+	flops0 := ctx.Counter.Flops()
+	cat, name := obs.CatRefact, "refactor"
+	rf, canRefactor := b.fact.(splu.Refactorer)
+	var err error
+	switch {
+	case twoStage:
 		// Refactor the preconditioner from the refreshed band values. The
 		// banded elimination cost is value dependent (pivoting), so this is
 		// a deferred segment like the initial build.
-		var refErr error
+		name = "precond-refresh"
 		c.ComputeDeferred(func() float64 {
-			refErr = b.ts.pc.Refresh(b.sub, ctx.Cnt())
+			err = b.ts.pc.Refresh(b.sub, ctx.Cnt())
 			return ctx.Counter.Flops() - ctx.Charged
 		})
-		if refErr != nil {
-			return 0, fmt.Errorf("rank %d: preconditioner refresh: %w", st.rank, refErr)
-		}
-		st.factFlops = ctx.Counter.Flops() - refactFlops0
-		if sc := ctx.Observe(); sc != nil {
-			sc.Span(obs.Span{Cat: obs.CatRefact, Name: "precond-refresh",
-				Start: factStart, End: c.Now(), Flops: st.factFlops})
-		}
-		return c.Now() - factStart, nil
-	}
-	if rf, ok := b.fact.(splu.Refactorer); ok && !s.NoRefactor {
+	case canRefactor && !s.NoRefactor:
 		// The refactor cost is frozen by the symbolic phase, so this is a
 		// declared segment; Charge reconciles the rare pivot-degradation
 		// fallback, which costs a full factorization instead.
-		var refErr error
 		c.ComputeSeg(rf.RefactorFlops(), func() {
-			refErr = rf.Refactor(b.sub, ctx.Cnt())
+			err = rf.Refactor(b.sub, ctx.Cnt())
 		})
 		c.Charge()
-		if refErr != nil {
-			return 0, fmt.Errorf("rank %d: refactorization: %w", st.rank, refErr)
-		}
-		if sc := ctx.Observe(); sc != nil {
-			sc.Span(obs.Span{Cat: obs.CatRefact, Name: "refactor",
-				Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-		}
-	} else {
+	default:
+		cat, name = obs.CatFact, "factor"
 		if err := st.factorBands(st.bands); err != nil {
 			return 0, err
 		}
-		if sc := ctx.Observe(); sc != nil {
-			sc.Span(obs.Span{Cat: obs.CatFact, Name: "factor",
-				Start: factStart, End: c.Now(), Flops: ctx.Counter.Flops() - refactFlops0})
-		}
 	}
-	// A fallback or re-factor may change the fill, so the per-iteration
-	// declared cost is recomputed.
-	b.stepFlops = b.exactStepFlops()
+	if err != nil {
+		return 0, fmt.Errorf("rank %d: %s: %w", st.rank, name, err)
+	}
+	st.factFlops = ctx.Counter.Flops() - flops0
+	if sc := ctx.Observe(); sc != nil {
+		sc.Span(obs.Span{Cat: cat, Name: name, Start: factStart, End: c.Now(), Flops: st.factFlops})
+	}
+	if !twoStage {
+		// A fallback or re-factor may change the fill, so the per-iteration
+		// declared cost is recomputed.
+		b.stepFlops = b.exactStepFlops()
+	}
 	return c.Now() - factStart, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -12,12 +14,11 @@ import (
 	"repro/internal/vgrid"
 )
 
-// newLanFactory returns a platform factory producing a fresh n-host LAN per
-// call (sessions need a new platform for every Resolve: engines are one-shot).
-func newLanFactory(n int) func() (*vgrid.Platform, []*vgrid.Host) {
-	return func() (*vgrid.Platform, []*vgrid.Host) {
-		return lanPlatform(n, 0)
-	}
+// resolveLan runs one Resolve of the session on a fresh n-host LAN engine
+// (engines are one-shot, so every Resolve gets its own).
+func resolveLan(s *Session, n int, newVals, b []float64) (*Result, error) {
+	pl, hosts := lanPlatform(n, 0)
+	return s.Resolve(vgrid.NewEngine(pl), hosts, newVals, b)
 }
 
 // perturbedVals returns a sequence of value arrays over m's pattern standing
@@ -70,8 +71,8 @@ func TestSeqSessionFirstResolveMatchesSolveSequential(t *testing.T) {
 			t.Fatalf("x[%d] differs bitwise: %v vs %v", i, got.X[i], ref.X[i])
 		}
 	}
-	if sess.FactorFlops <= 0 {
-		t.Fatalf("FactorFlops not accumulated: %v", sess.FactorFlops)
+	if got.FactorFlops <= 0 || got.FactorFlops != ref.FactorFlops {
+		t.Fatalf("FactorFlops: session %v, SolveSequential %v", got.FactorFlops, ref.FactorFlops)
 	}
 }
 
@@ -97,21 +98,27 @@ func TestSeqSessionMultiResolve(t *testing.T) {
 	}
 	base.NoRefactor = true
 	var cs, cb vec.Counter
-	if _, err := sess.Resolve(nil, b, 1e-10, 10000, &cs); err != nil {
+	first, err := sess.Resolve(nil, b, 1e-10, 10000, &cs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Resolve(nil, b, 1e-10, 10000, &cb); err != nil {
+	sessFlops := first.FactorFlops
+	first, err = base.Resolve(nil, b, 1e-10, 10000, &cb)
+	if err != nil {
 		t.Fatal(err)
 	}
+	baseFlops := first.FactorFlops
 	for s, v := range vals {
 		got, err := sess.Resolve(v, b, 1e-10, 10000, &cs)
 		if err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
+		sessFlops += got.FactorFlops
 		bg, err := base.Resolve(v, b, 1e-10, 10000, &cb)
 		if err != nil {
 			t.Fatalf("step %d baseline: %v", s, err)
 		}
+		baseFlops += bg.FactorFlops
 		// Fresh factor of the same values, no session.
 		fresh := m.Clone()
 		copy(fresh.Val, v)
@@ -135,8 +142,8 @@ func TestSeqSessionMultiResolve(t *testing.T) {
 	if sess.Fallbacks() != 0 {
 		t.Fatalf("unexpected pivot fallbacks: %d", sess.Fallbacks())
 	}
-	if 2*sess.FactorFlops > base.FactorFlops {
-		t.Fatalf("refactorization saved less than 2x: session %v, baseline %v", sess.FactorFlops, base.FactorFlops)
+	if 2*sessFlops > baseFlops {
+		t.Fatalf("refactorization saved less than 2x: session %v, baseline %v", sessFlops, baseFlops)
 	}
 }
 
@@ -169,40 +176,76 @@ func TestSeqSessionResolveAllocationFree(t *testing.T) {
 	}
 }
 
-// runSessionWithWorkers drives a 3-step resolve sequence (factor, then two
-// refactorized solves) with the given worker count, returning the Perfetto
-// export of the recorder all three engines share.
-func runSessionWithWorkers(t *testing.T, workers int, o Options) (string, []*Result, float64) {
+// twoLANs is a heterogeneous two-cluster grid whose clusters are joined by
+// per-cluster uplinks and a fast backbone. The host NICs carry only
+// intra-cluster traffic, so the platform shards into one scheduler lane per
+// cluster, and the short backbone keeps asynchronous runs brief.
+func twoLANs(nA, nB int) (*vgrid.Platform, []*vgrid.Host) {
+	pl := vgrid.NewPlatform()
+	hosts := make([]*vgrid.Host, nA+nB)
+	nics := make([]*vgrid.Link, nA+nB)
+	for i := range hosts {
+		hosts[i] = pl.AddHost(fmt.Sprintf("h%d", i), 1e9*(1+0.1*float64(i%3)), 0)
+		nics[i] = vgrid.NewLink(fmt.Sprintf("nic%d", i), 25e-6, 1.25e7)
+	}
+	up := []*vgrid.Link{vgrid.NewLink("upA", 25e-6, 1.25e8), vgrid.NewLink("upB", 25e-6, 1.25e8)}
+	backbone := vgrid.NewLink("backbone", 1e-4, 1.25e8)
+	site := func(i int) int {
+		if i < nA {
+			return 0
+		}
+		return 1
+	}
+	for i := range hosts {
+		for j := i + 1; j < len(hosts); j++ {
+			if site(i) == site(j) {
+				pl.SetRoute(hosts[i], hosts[j], nics[i], nics[j])
+			} else {
+				pl.SetRoute(hosts[i], hosts[j], up[site(i)], backbone, up[site(j)])
+			}
+		}
+	}
+	pl.AddCluster("siteA", hosts[:nA]...)
+	pl.AddCluster("siteB", hosts[nA:]...)
+	return pl, hosts
+}
+
+// runSessionOnGrid drives a 3-step resolve sequence (factor, then two
+// refactorized solves) on twoLANs with the given worker and lane counts
+// (lanes 0: one lane per cluster), every engine feeding one recorder. It
+// returns the recorder's Perfetto export and the three Results.
+func runSessionOnGrid(t *testing.T, workers, lanes int, o Options) (string, []*Result) {
 	t.Helper()
 	m := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.08, Negative: true, Seed: 3030})
 	b, _ := gen.RHSForSolution(m)
-	vals := perturbedVals(m, 2)
-	sess, err := NewSession(newLanFactory(6), m, o)
+	sess, err := NewSession(m, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Workers = workers
-	sess.Obs = &obs.Recorder{}
+	rec := &obs.Recorder{}
 	var results []*Result
-	r0, err := sess.Resolve(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results = append(results, r0)
-	for _, v := range vals {
-		r, err := sess.Resolve(v, b)
+	for _, v := range append([][]float64{nil}, perturbedVals(m, 2)...) {
+		pl, hosts := twoLANs(3, 3)
+		e := vgrid.NewEngine(pl)
+		e.SetWorkers(workers)
+		e.SetLanes(lanes)
+		e.Observe(rec)
+		r, err := sess.Resolve(e, hosts, v, b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if lanes == 0 && e.Lanes() != 2 {
+			t.Fatalf("the grid ran on %d lanes, want one per cluster", e.Lanes())
+		}
 		results = append(results, r)
 	}
-	return tracePrint(t, sess.Obs), results, sess.FactorFlops
+	return tracePrint(t, rec), results
 }
 
-// TestSessionWorkersDeterministic: with sessions and refactorization enabled,
-// obs export of a factor + refactor + refactor resolve sequence (all three
-// engines feed one recorder) must stay byte-identical across worker counts, in both sync and
-// async mode, along with bitwise-identical solutions and flop totals.
+// TestSessionWorkersDeterministic: a factor + refactor + refactor resolve
+// sequence must give byte-identical obs exports, bitwise-identical
+// solutions and identical Result fields for 1 vs 4 workers and for one lane
+// vs a lane per cluster, in both sync and async mode.
 func TestSessionWorkersDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
@@ -213,31 +256,29 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr1, res1, ff1 := runSessionWithWorkers(t, 1, tc.o)
-			tr4, res4, ff4 := runSessionWithWorkers(t, 4, tc.o)
-			if tr1 != tr4 {
-				t.Fatal("obs exports diverge between 1 and 4 workers")
-			}
-			if ff1 != ff4 {
-				t.Fatalf("factor flops: %v vs %v", ff1, ff4)
-			}
-			for k := range res1 {
-				if res1[k].Iterations != res4[k].Iterations {
-					t.Fatalf("resolve %d iterations: %d vs %d", k, res1[k].Iterations, res4[k].Iterations)
-				}
-				if res1[k].Time != res4[k].Time {
-					t.Fatalf("resolve %d virtual time: %v vs %v", k, res1[k].Time, res4[k].Time)
-				}
-				if res1[k].TotalFlops != res4[k].TotalFlops {
-					t.Fatalf("resolve %d total flops: %v vs %v", k, res1[k].TotalFlops, res4[k].TotalFlops)
-				}
-				for i := range res1[k].X {
-					if math.Float64bits(res1[k].X[i]) != math.Float64bits(res4[k].X[i]) {
-						t.Fatalf("resolve %d x[%d] differs bitwise", k, i)
-					}
-				}
-				if !res1[k].Converged {
+			refTrace, ref := runSessionOnGrid(t, 1, 1, tc.o)
+			for k, r := range ref {
+				if !r.Converged {
 					t.Fatalf("resolve %d did not converge", k)
+				}
+				if r.FactorFlops <= 0 {
+					t.Fatalf("resolve %d reports no factor flops", k)
+				}
+			}
+			for _, v := range []struct{ workers, lanes int }{{4, 1}, {1, 0}, {4, 0}} {
+				trace, got := runSessionOnGrid(t, v.workers, v.lanes, tc.o)
+				if trace != refTrace {
+					t.Fatalf("workers %d lanes %d: obs export differs", v.workers, v.lanes)
+				}
+				for k := range ref {
+					for i := range ref[k].X {
+						if math.Float64bits(got[k].X[i]) != math.Float64bits(ref[k].X[i]) {
+							t.Fatalf("workers %d lanes %d: resolve %d x[%d] differs bitwise", v.workers, v.lanes, k, i)
+						}
+					}
+					if g, w := fmt.Sprintf("%+v", *got[k]), fmt.Sprintf("%+v", *ref[k]); g != w {
+						t.Fatalf("workers %d lanes %d: resolve %d result differs:\n got %s\nwant %s", v.workers, v.lanes, k, g, w)
+					}
 				}
 			}
 		})
@@ -245,41 +286,55 @@ func TestSessionWorkersDeterministic(t *testing.T) {
 }
 
 // TestSessionFirstResolveMatchesSolve: a session's first Resolve runs the
-// same rank program as the one-shot Solve — identical solution, iteration
-// counts and virtual time.
+// same setup and rank program as the one-shot Solve — identical solution,
+// iteration counts and virtual time — including a Balance split sized by the
+// host speeds of a heterogeneous grid.
 func TestSessionFirstResolveMatchesSolve(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Band: 40, PerRow: 8, Margin: 0.1, Negative: true, Seed: 55})
 	b, _ := gen.RHSForSolution(a)
-	o := Options{Tol: 1e-8, Overlap: 8}
-	pl, hosts := lanPlatform(4, 0)
-	ref, err := Solve(pl, hosts, a, b, o)
-	if err != nil {
-		t.Fatal(err)
+	heterogeneous := func() (*vgrid.Platform, []*vgrid.Host) {
+		plt := cluster.Synthetic(6, 2, 0.5, 3)
+		return plt.Platform, plt.Hosts
 	}
-	sess, err := NewSession(newLanFactory(4), a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.Resolve(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iterations != ref.Iterations {
-		t.Fatalf("iterations: session %d, Solve %d", got.Iterations, ref.Iterations)
-	}
-	if got.Time != ref.Time {
-		t.Fatalf("virtual time: session %v, Solve %v", got.Time, ref.Time)
-	}
-	for i := range ref.X {
-		if math.Float64bits(got.X[i]) != math.Float64bits(ref.X[i]) {
-			t.Fatalf("x[%d] differs bitwise: %v vs %v", i, got.X[i], ref.X[i])
-		}
+	for _, tc := range []struct {
+		name     string
+		platform func() (*vgrid.Platform, []*vgrid.Host)
+		o        Options
+	}{
+		{"lan", func() (*vgrid.Platform, []*vgrid.Host) { return lanPlatform(4, 0) }, Options{Tol: 1e-8, Overlap: 8}},
+		{"balance", heterogeneous, Options{Tol: 1e-8, Overlap: 8, Balance: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, hosts := tc.platform()
+			ref, err := Solve(pl, hosts, a, b, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewSession(a, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, hosts = tc.platform()
+			got, err := sess.Resolve(vgrid.NewEngine(pl), hosts, nil, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iterations != ref.Iterations || got.Time != ref.Time {
+				t.Fatalf("session %d iterations @ %v s, Solve %d @ %v s", got.Iterations, got.Time, ref.Iterations, ref.Time)
+			}
+			for i := range ref.X {
+				if math.Float64bits(got.X[i]) != math.Float64bits(ref.X[i]) {
+					t.Fatalf("x[%d] differs bitwise: %v vs %v", i, got.X[i], ref.X[i])
+				}
+			}
+		})
 	}
 }
 
 // TestSessionRefactorResolveCheaper: after the first Resolve, refactorized
 // steps must report a smaller factorization time and charge fewer flops than
-// the NoRefactor baseline session.
+// the NoRefactor baseline session. Every Resolve's Result.FactorFlops is the
+// arithmetic of that Resolve's own factor or refactor spans.
 func TestSessionRefactorResolveCheaper(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 500, Band: 50, PerRow: 8, Margin: 0.1, Negative: true, Seed: 77})
 	b, _ := gen.RHSForSolution(a)
@@ -287,19 +342,31 @@ func TestSessionRefactorResolveCheaper(t *testing.T) {
 	v := perturbedVals(a, 1)[0]
 
 	run := func(noRefactor bool) (second *Result, ff float64) {
-		sess, err := NewSession(newLanFactory(4), a, o)
+		sess, err := NewSession(a, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess.NoRefactor = noRefactor
-		if _, err = sess.Resolve(nil, b); err != nil {
-			t.Fatal(err)
+		for _, vals := range [][]float64{nil, v} {
+			pl, hosts := lanPlatform(4, 0)
+			e := vgrid.NewEngine(pl)
+			rec := observe(e)
+			if second, err = sess.Resolve(e, hosts, vals, b); err != nil {
+				t.Fatal(err)
+			}
+			spans := 0.0
+			for _, sp := range rec.Spans() {
+				if sp.Cat == obs.CatFact || sp.Cat == obs.CatRefact {
+					spans += sp.Flops
+				}
+			}
+			if second.FactorFlops <= 0 || second.FactorFlops != spans {
+				t.Fatalf("noRefactor=%v: Result.FactorFlops %v, factor/refactor spans %v",
+					noRefactor, second.FactorFlops, spans)
+			}
+			ff += second.FactorFlops
 		}
-		second, err = sess.Resolve(v, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return second, sess.FactorFlops
+		return second, ff
 	}
 	fast, ffFast := run(false)
 	slow, ffSlow := run(true)
@@ -316,27 +383,20 @@ func TestSessionRefactorResolveCheaper(t *testing.T) {
 	}
 }
 
-// TestSessionOptionRejections: options that reshape the decomposition or the
-// matrix per solve are incompatible with persistent sessions.
+// TestSessionOptionRejections: options that rewrite the matrix or multiplex
+// bands are incompatible with persistent sessions.
 func TestSessionOptionRejections(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 100, Seed: 1})
 	cases := []struct {
-		name       string
-		o          Options
-		nilFactory bool
+		name string
+		o    Options
 	}{
-		{"bands-per-proc", Options{BandsPerProc: 2}, false},
-		{"balance", Options{Balance: true}, false},
-		{"equilibrate", Options{Equilibrate: true}, false},
-		{"nil-factory", Options{}, true},
+		{"bands-per-proc", Options{BandsPerProc: 2}},
+		{"equilibrate", Options{Equilibrate: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pf := newLanFactory(2)
-			if tc.nilFactory {
-				pf = nil
-			}
-			if _, err := NewSession(pf, a, tc.o); err == nil {
+			if _, err := NewSession(a, tc.o); err == nil {
 				t.Fatal("expected rejection")
 			}
 		})
@@ -344,22 +404,18 @@ func TestSessionOptionRejections(t *testing.T) {
 }
 
 // TestSessionHostCountPinned: the decomposition is fixed by the first
-// Resolve, so a factory that later changes its host count is an error.
+// Resolve, so a later Resolve on a different host count is an error.
 func TestSessionHostCountPinned(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 200, Seed: 5})
 	b, _ := gen.RHSForSolution(a)
-	n := 3
-	sess, err := NewSession(func() (*vgrid.Platform, []*vgrid.Host) {
-		return lanPlatform(n, 0)
-	}, a, Options{Tol: 1e-8})
+	sess, err := NewSession(a, Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Resolve(nil, b); err != nil {
+	if _, err := resolveLan(sess, 3, nil, b); err != nil {
 		t.Fatal(err)
 	}
-	n = 4
-	if _, err := sess.Resolve(nil, b); err == nil {
+	if _, err := resolveLan(sess, 4, nil, b); err == nil {
 		t.Fatal("expected host-count mismatch error")
 	}
 }

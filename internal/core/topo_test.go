@@ -216,9 +216,7 @@ func TestGatewayRejectsMultiband(t *testing.T) {
 // TestSessionRejectsGateway: persistent sessions run the direct plan.
 func TestSessionRejectsGateway(t *testing.T) {
 	a, _, _ := topoTestSystem(t)
-	_, err := NewSession(func() (*vgrid.Platform, []*vgrid.Host) {
-		return twoSiteClustered(2, 2)
-	}, a, Options{Gateway: true})
+	_, err := NewSession(a, Options{Gateway: true})
 	if err == nil || !strings.Contains(err.Error(), "do not support Gateway") {
 		t.Fatalf("err = %v", err)
 	}

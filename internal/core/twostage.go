@@ -39,6 +39,10 @@ const (
 // residualMaxSweeps caps the residual-driven schedule's growth.
 const residualMaxSweeps = 64
 
+// stageGrowthLimit is iterative.PrecondSweeps' tenfold residual-growth limit,
+// carried across the warm-started stages of successive outer iterations.
+const stageGrowthLimit = 10
+
 // TwoStage configures the two-stage (inner-iterative) solver mode; the zero
 // value keeps the exact stationary method. See DESIGN.md §14.
 type TwoStage struct {
@@ -160,6 +164,7 @@ type twoStageState struct {
 	sweeps int // count chosen for the current iteration
 	res    iterative.InnerResult
 	err    error
+	growth float64 // residual growth over the current streak of growing stages
 
 	// fellBack is set once the inner iteration diverged and the band
 	// switched to the exact band solve; the two-stage path is then skipped
@@ -219,12 +224,34 @@ func (b *bandState) sweep(cnt *vec.Counter) {
 	}
 	ts.res, ts.err = iterative.PrecondSweeps(b.sub, ts.pc, b.xSub, b.rhs,
 		ts.opt.Omega, ts.sweeps, ts.r, ts.t, cnt)
+	if ts.err == nil {
+		ts.err = ts.checkGrowth()
+	}
 	if ts.err != nil {
 		copy(b.xSub, b.xPrev)
 		return
 	}
 	b.diff = vec.DiffNormInf(b.xSub, b.xPrev, cnt)
 	copy(b.xPrev, b.xSub)
+}
+
+// checkGrowth rejects an inner iteration that diverges slowly, within
+// PrecondSweeps' per-stage limits but stage after stage. Left running, the
+// band ships iterates growing toward overflow, and after the fallback its
+// neighbours' incrementally updated z keeps a rounding residue of that
+// transient far above the solution's scale.
+func (ts *twoStageState) checkGrowth() error {
+	r := ts.res
+	if r.Res <= r.Res0 || r.Res0 == 0 {
+		ts.growth = 0
+		return nil
+	}
+	ts.growth = max(ts.growth, 1) * r.Res / r.Res0
+	if ts.growth > stageGrowthLimit {
+		return fmt.Errorf("%w: residual grew %.3g-fold over consecutive inner stages",
+			iterative.ErrDiverged, ts.growth)
+	}
+	return nil
 }
 
 // finishInner books the inner stages of the step segment that began at

@@ -374,7 +374,7 @@ func TestSessionTwoStageResolves(t *testing.T) {
 	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Band: 12, PerRow: 7, Negative: true, Seed: 23})
 	b, _ := gen.RHSForSolution(a)
 	o := Options{Tol: 1e-9, TwoStage: TwoStage{InnerIters: 4, PrecondBand: 4}}
-	sess, err := NewSession(newLanFactory(4), a, o)
+	sess, err := NewSession(a, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,19 +391,19 @@ func TestSessionTwoStageResolves(t *testing.T) {
 			}
 		}
 	}
-	res, err := sess.Resolve(nil, b)
+	res, err := resolveLan(sess, 4, nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitwise("first Resolve", a, res)
 
 	vals := perturbedVals(a, 1)[0]
-	res2, err := sess.Resolve(vals, b)
+	res2, err := resolveLan(sess, 4, vals, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.InnerSweeps == 0 {
-		t.Fatal("refreshed Resolve recorded no inner sweeps")
+	if res2.InnerSweeps == 0 || res2.FactorFlops <= 0 {
+		t.Fatalf("refreshed Resolve recorded %d inner sweeps, %v refresh flops", res2.InnerSweeps, res2.FactorFlops)
 	}
 	a2 := a.Clone()
 	copy(a2.Val, vals)
@@ -449,4 +449,32 @@ func twoStageBudget(t *testing.T, a *sparse.CSR, hosts, width int) int64 {
 		t.Fatalf("probe: exact fill %d bytes not clearly above preconditioner %d — grow the test matrix", minExact, maxPc)
 	}
 	return maxBase + maxPc + minExact/2
+}
+
+// TestTwoStageFallbackAfterTransient: inner sweeps that diverge slowly ship
+// huge iterates for many outer iterations before every band falls back to
+// its exact factor. The run must then either reach the multisplitting fixed
+// point or fail — never report convergence on the transient's residue.
+func TestTwoStageFallbackAfterTransient(t *testing.T) {
+	a := gen.DiagDominant(gen.DiagDominantOpts{N: 400, Band: 40, PerRow: 8, Margin: 0.1, Negative: true, Seed: 55})
+	b, _ := gen.RHSForSolution(a)
+	d, err := NewDecomposition(a.Rows, 4, 8, WeightOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c vec.Counter
+	ref, err := SolveSequential(a, b, d, &splu.SparseLU{}, 1e-12, 10000, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := solveLan(t, 4, 0, a, b, Options{Tol: 1e-8, Overlap: 8,
+		TwoStage: TwoStage{InnerIters: 3, PrecondBand: 0, Omega: 1.95}})
+	if err != nil {
+		t.Logf("run failed: %v", err)
+		return
+	}
+	if res.TwoStageFallbacks == 0 {
+		t.Fatal("no fallback: the test needs the divergent inner transient")
+	}
+	checkClose(t, res.X, ref.X, 1e-6, "after two-stage fallback")
 }

@@ -40,9 +40,12 @@ type Diagonal struct {
 
 // Problem is the semilinear system A·x + φ(x) = b.
 type Problem struct {
-	A   *sparse.CSR
+	// A is the square linear part; its sparsity is the Jacobian's pattern.
+	A *sparse.CSR
+	// Phi is the componentwise nonlinearity φ.
 	Phi Diagonal
-	B   []float64
+	// B is the right-hand side.
+	B []float64
 }
 
 // Residual computes r = b − A·x − φ(x) and returns ‖r‖∞.
@@ -182,6 +185,7 @@ func (o *Options) withDefaults() Options {
 
 // Result reports a Newton-multisplitting solve.
 type Result struct {
+	// X is the final Newton iterate.
 	X []float64
 	// NewtonIterations is the number of outer steps taken.
 	NewtonIterations int
@@ -237,7 +241,6 @@ func SolveSequential(p *Problem, solver splu.Direct, opt Options, c *vec.Counter
 	x := make([]float64, n)
 	r := make([]float64, n)
 	res := &Result{}
-	defer func() { res.FactorFlops = sess.FactorFlops }()
 	for k := 1; k <= o.MaxNewton; k++ {
 		res.NewtonIterations = k
 		res.Residual = p.Residual(r, x, c)
@@ -251,6 +254,7 @@ func SolveSequential(p *Problem, solver splu.Direct, opt Options, c *vec.Counter
 			return nil, fmt.Errorf("nonlinear: Newton step %d: %w", k, err)
 		}
 		res.InnerIterations += sr.Iterations
+		res.FactorFlops += sr.FactorFlops
 		vec.Axpy(1, sr.X, x, c)
 		if !vec.AllFinite(x) {
 			return nil, fmt.Errorf("nonlinear: Newton step %d diverged", k)
@@ -265,13 +269,14 @@ func SolveSequential(p *Problem, solver splu.Direct, opt Options, c *vec.Counter
 }
 
 // SolveDistributed runs Newton with distributed multisplitting inner solves
-// on the given platform builder. Each outer step solves its Jacobian system
-// on a fresh engine (platforms are stateful), but the solver state — band
-// submatrices, communication plans, factorizations — persists in a
+// on the platforms newPlatform builds. Each outer step solves its Jacobian
+// system on a fresh engine over a fresh platform (engines run once and
+// platforms are stateful), but the solver state — decomposition,
+// communication plan, band submatrices, factorizations — persists in a
 // core.Session: after the first step every band refactorizes through its
 // frozen pattern instead of factoring from scratch, and the per-step
 // factorization time in virtual seconds collapses accordingly. The virtual
-// times accumulate.
+// times and the per-step Result.FactorFlops accumulate.
 func SolveDistributed(newPlatform func() (*vgrid.Platform, []*vgrid.Host), p *Problem, opt Options) (*Result, error) {
 	o := opt.withDefaults()
 	n := p.A.Rows
@@ -280,7 +285,7 @@ func SolveDistributed(newPlatform func() (*vgrid.Platform, []*vgrid.Host), p *Pr
 	}
 	var c vec.Counter
 	tpl := newJacTemplate(p.A)
-	sess, err := core.NewSession(newPlatform, tpl.j, o.Inner)
+	sess, err := core.NewSession(tpl.j, o.Inner)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +293,6 @@ func SolveDistributed(newPlatform func() (*vgrid.Platform, []*vgrid.Host), p *Pr
 	x := make([]float64, n)
 	r := make([]float64, n)
 	res := &Result{}
-	defer func() { res.FactorFlops = sess.FactorFlops }()
 	for k := 1; k <= o.MaxNewton; k++ {
 		res.NewtonIterations = k
 		res.Residual = p.Residual(r, x, &c)
@@ -297,12 +301,14 @@ func SolveDistributed(newPlatform func() (*vgrid.Platform, []*vgrid.Host), p *Pr
 			return res, nil
 		}
 		tpl.update(p, x, &c)
-		inner, err := sess.Resolve(tpl.j.Val, r)
+		pl, hosts := newPlatform()
+		inner, err := sess.Resolve(vgrid.NewEngine(pl), hosts, tpl.j.Val, r)
 		if err != nil {
 			return nil, fmt.Errorf("nonlinear: Newton step %d: %w", k, err)
 		}
 		res.InnerIterations += inner.Iterations
 		res.Time += inner.Time
+		res.FactorFlops += inner.FactorFlops
 		vec.Axpy(1, inner.X, x, &c)
 		if !vec.AllFinite(x) {
 			return nil, fmt.Errorf("nonlinear: Newton step %d diverged", k)
